@@ -27,9 +27,6 @@ from .ideals import (
     IdealPredicateReport,
     PrincipalIdeal,
     ideal_closure,
-    ideal_contains,
-    ideal_predicates,
-    ideal_square,
     principal_ideal,
 )
 from .oracle import (
@@ -115,9 +112,6 @@ __all__ = [
     "from_table",
     "hunt_subtractivity",
     "ideal_closure",
-    "ideal_contains",
-    "ideal_predicates",
-    "ideal_square",
     "mod2_table",
     "mod3_table",
     "n3_saturating_table",

@@ -7,7 +7,8 @@ as one byte-stable JSON document with --json.  Exit codes:
     0   satisfied / all verified / axioms pass / witness found (factor)
     2   a definite negative answer: not applicable, axioms fail,
         violations found, no factorization within bounds
-    1   usage or input errors, including hypothesis failures
+    1   usage or input errors, including hypothesis failures, and
+        requests that run out of memory
 """
 
 from __future__ import annotations
@@ -275,6 +276,9 @@ def run_cli(argv, stdout=None, stderr=None) -> int:
         return 1
     except (EisenringError, OSError) as exc:
         print(f"error: {exc}", file=stderr)
+        return 1
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory", file=stderr)
         return 1
     if not args.quiet:
         if args.json:

@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 from .errors import (
     DegreeTooSmallError,
     HypothesisNotEstablishedError,
+    NoMinimalIndexError,
     NotPrimeElementError,
     SemiringMismatchError,
 )
@@ -317,7 +318,7 @@ def proof_trace(
         None,
     )
     if m is None:
-        raise ValueError(
+        raise NoMinimalIndexError(
             "the factor playing c has every coefficient in the ideal; "
             "no minimal index exists"
         )

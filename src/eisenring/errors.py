@@ -45,6 +45,10 @@ class HypothesisNotEstablishedError(EisenringError):
     """The ideal-theoretic hypotheses required by the operation do not hold."""
 
 
+class NoMinimalIndexError(EisenringError, ValueError):
+    """A proof trace needs a coefficient of the c factor outside the ideal."""
+
+
 class AxiomCheckFailedError(EisenringError):
     """A finite operation table violates the semiring axioms."""
 

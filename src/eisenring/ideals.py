@@ -374,15 +374,3 @@ def principal_ideal(S: SemiringDescriptor, p) -> Ideal:
     if not S.flags.decidable_divisibility:
         raise UndecidableDivisibilityError(S.name)
     return PrincipalIdeal(S, el)
-
-
-def ideal_contains(I: Ideal, a) -> bool:
-    return I.contains(a)
-
-
-def ideal_predicates(I: Ideal, bound: int = 0) -> IdealPredicateReport:
-    return I.predicates(bound)
-
-
-def ideal_square(I: Ideal) -> Ideal:
-    return I.square()

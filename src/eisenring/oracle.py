@@ -4,26 +4,32 @@
 non-constant.  Candidate degree pairs are r+s = n on entire carriers; on
 carriers with zero divisors leading terms can cancel, so the pair window
 widens to r+s in [max(2, n), n+window].  Mirrored pairs (r > s) are
-skipped because multiplication is commutative.  Per-carrier coefficient
-bounding rules, with their completeness status:
+skipped because multiplication is commutative.
 
-  finite tables   every coefficient tuple; complete within the window.
+One driver serves every carrier.  Per degree pair it walks g's
+coefficient tuples in lexicographic order, constant term first, over
+per-position candidate lists; for each g it walks the h candidates the
+carrier derives from g, spends one node per h candidate, and accepts the
+first pair whose product is f.  Only the candidate rules differ:
+
+  finite tables   every element, nonzero leading coefficient, for g and
+                  h alike; complete within the window.
   nat             every convolution term is non-negative, so b_i * c_s
                   <= a_(i+s) and with c_s >= 1 every g coefficient is at
                   most max(f); extreme coefficients must divide a_n and
-                  a_0 exactly; the cofactor is the unique quotient in
-                  integer polynomials, derived top-down.  Complete.
+                  a_0 exactly; h is the unique quotient in integer
+                  polynomials, derived top-down.  Complete.
   tropical-min    b_r + c_s = a_n and b_0 + c_0 = a_0 hold exactly;
                   middle candidates are capped at the largest finite
                   coefficient of f with inf included, since any larger
                   value can only avoid affecting minima the way inf
                   does.  Complete.
-  gcd-nat         extreme coefficients run over divisor pairs of a_n and
-                  a_0; degree-(1,1) splits are therefore complete.  For
-                  longer factors the middle coefficients are unbounded
-                  (the target is a gcd of terms), so candidates run over
-                  divisors of the product of f's nonzero coefficients
-                  and the search is a semi-decision: complete=False.
+  gcd-nat         b_r * c_s = a_n and b_0 * c_0 = a_0 hold exactly, so
+                  degree-(1,1) splits are complete.  Longer factors have
+                  unbounded middle coefficients (the target is a gcd of
+                  terms), so candidates run over divisors of the product
+                  of f's nonzero coefficients: a semi-decision,
+                  complete=False.
 
 ``verify_theorem`` exhausts a finite semiring: every ideal, every
 subtractive prime, every polynomial up to a degree cap, and a complete
@@ -36,7 +42,10 @@ proof-trace near misses where a_m lands in the ideal.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .errors import (
     BudgetExceededError,
@@ -88,33 +97,19 @@ class FactorizationOutcome:
         }
 
 
-class _NodeBudget:
-    __slots__ = ("remaining", "used")
+class _CandidateSpace(NamedTuple):
+    """``pair(r, s)`` gives g's candidates per position, constant first,
+    and a function from a g tuple to its h candidates."""
 
-    def __init__(self, limit):
-        self.remaining = limit
-        self.used = 0
-
-    def spend(self, k: int = 1) -> bool:
-        """Consume k nodes; False once the budget is gone."""
-        self.used += k
-        if self.remaining is None:
-            return True
-        self.remaining -= k
-        return self.remaining >= 0
+    pair: Callable
+    coefficient_bound: str
+    complete: bool
+    note: str
 
 
 def _divisors(v: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= v:
-        if v % d == 0:
-            out.append(d)
-            if d != v // d:
-                out.append(v // d)
-        d += 1
-    out.sort()
-    return out
+    small = [d for d in range(1, math.isqrt(v) + 1) if v % d == 0]
+    return sorted({*small, *(v // d for d in small)})
 
 
 def search_factorizations(
@@ -136,106 +131,100 @@ def search_factorizations(
     if n is None or n < 1:
         raise DegreeTooSmallError("factor search needs a non-constant polynomial")
     entire = S.flags.is_entire
-    if entire:
-        totals = [n]
-    else:
-        totals = list(range(max(2, n), n + window + 1))
-    pairs = tuple(
-        (r, t - r) for t in totals for r in range(1, t // 2 + 1)
-    )
+    totals = [n] if entire else range(max(2, n), n + window + 1)
+    pairs = tuple((r, t - r) for t in totals for r in range(1, t // 2 + 1))
     if entire and n == 1:
         return FactorizationOutcome(
             None, None, True, (), "none needed", 0,
             "degree 1 over an entire carrier cannot split into two non-constant factors",
         )
-    budget = _NodeBudget(node_budget)
-
-    kind = S.kind
-    if kind is CarrierKind.FINITE:
-        found, bound_desc, complete = _finite_search(f, pairs, budget)
-        if not entire:
-            complete_note = f"all coefficient tuples within the degree window (window={window})"
-        else:
-            complete_note = "all coefficient tuples; degrees add exactly on an entire carrier"
-    elif kind is CarrierKind.NATURALS:
-        found, bound_desc, complete = _nat_search(f, pairs, coeff_bound, budget)
-        complete_note = "derived cofactors make the divisor-pruned scan exhaustive"
-    elif kind is CarrierKind.TROPICAL_MIN:
-        found, bound_desc, complete = _tropical_search(f, pairs, coeff_bound, budget)
-        complete_note = "middle coefficients above the cap behave like inf"
-    else:
-        found, bound_desc, complete = _gcd_search(f, pairs, budget)
-        complete_note = (
-            "divisor-pair splits are exhaustive for degree (1,1); longer "
-            "factors have unbounded middles, so this is a semi-decision"
-        )
-    note = complete_note + "; " + MIRROR_NOTE
-    if budget.remaining is not None and budget.remaining < 0:
-        complete = False
-        note = "node budget exhausted; " + note
-    if found is not None:
-        g, h = found
-        if g * h != f:
-            raise RuntimeError("internal error: candidate factorization failed re-verification")
-        return FactorizationOutcome(g, h, complete, pairs, bound_desc, budget.used, note)
-    return FactorizationOutcome(None, None, complete, pairs, bound_desc, budget.used, note)
+    limit = math.inf if node_budget is None else node_budget
+    space = _CANDIDATE_SPACES[S.kind](f, pairs, window, coeff_bound)
+    found, nodes = _first_factorization(f, pairs, space.pair, limit)
+    complete, note = space.complete, space.note + "; " + MIRROR_NOTE
+    if nodes > limit:
+        complete, note = False, "node budget exhausted; " + note
+    g, h = found or (None, None)
+    return FactorizationOutcome(g, h, complete, pairs, space.coefficient_bound, nodes, note)
 
 
-def _finite_search(f: Polynomial, pairs, budget):
+def _first_factorization(f: Polynomial, pairs, pair_space, limit):
+    """The first (g, h) in candidate order with g*h == f, or None, and the
+    nodes spent: one per h candidate, and one past ``limit`` when the
+    budget runs out.  An h candidate of None was ruled out while being
+    derived; it costs its node but builds nothing."""
     S = f.semiring
-    order = S.table.order
-    z = S.table.zero_index
+    nodes = 0
     for r, s in pairs:
-        for g_tup in itertools.product(range(order), repeat=r + 1):
-            if g_tup[r] == z:
-                continue
-            g = Polynomial(S, g_tup)
-            for h_tup in itertools.product(range(order), repeat=s + 1):
-                if h_tup[s] == z:
+        g_positions, cofactors = pair_space(r, s)
+        for g_tup in itertools.product(*g_positions):
+            g = None
+            for h_tup in cofactors(g_tup):
+                nodes += 1
+                if nodes > limit:
+                    return None, nodes
+                if h_tup is None:
                     continue
-                if not budget.spend():
-                    return None, "all carrier elements", False
+                if g is None:
+                    g = Polynomial(S, g_tup)
                 h = Polynomial(S, h_tup)
                 if g * h == f:
-                    return (g, h), "all carrier elements", True
-    return None, "all carrier elements", True
+                    return (g, h), nodes
+    return None, nodes
 
 
-def _nat_search(f: Polynomial, pairs, coeff_bound, budget):
+def _finite_positions(S: SemiringDescriptor, d: int) -> list:
+    """Coefficient candidates of a degree-d polynomial over a finite
+    carrier, constant first: every element, then a nonzero leader."""
+    elements = range(S.table.order)
+    return [elements] * d + [[v for v in elements if v != S.table.zero_index]]
+
+
+def _finite_space(f: Polynomial, pairs, window, coeff_bound) -> _CandidateSpace:
+    S = f.semiring
+
+    def pair(r, s):
+        h_positions = _finite_positions(S, s)
+        return _finite_positions(S, r), lambda g_tup: itertools.product(*h_positions)
+
+    note = (
+        "all coefficient tuples; degrees add exactly on an entire carrier"
+        if S.flags.is_entire
+        else f"all coefficient tuples within the degree window (window={window})"
+    )
+    return _CandidateSpace(pair, "all carrier elements", True, note)
+
+
+def _nat_space(f: Polynomial, pairs, window, coeff_bound) -> _CandidateSpace:
     a = f.coeffs
     n = f.degree
     derived = max(a)
     cap = derived if coeff_bound is None else coeff_bound
-    complete = cap >= derived
-    desc = f"coefficients <= {cap} (derived cap {derived} = max coefficient)"
-    lead_divs = [d for d in _divisors(a[n]) if d <= cap]
-    if a[0] > 0:
-        const_cands = [d for d in _divisors(a[0]) if d <= cap]
-    else:
-        const_cands = list(range(cap + 1))
-    mid_cands = list(range(cap + 1))
-    for r, s in pairs:
-        position_cands = [const_cands] + [mid_cands] * (r - 1) + [lead_divs]
-        for g_tup in itertools.product(*position_cands):
-            if not budget.spend():
-                return None, desc, False
-            c = _nat_cofactor(a, g_tup, n, r)
-            if c is not None:
-                g = Polynomial(f.semiring, g_tup)
-                h = Polynomial(f.semiring, c)
-                return (g, h), desc, complete
-    return None, desc, complete
+    middles = range(cap + 1)
+    leads = [d for d in _divisors(a[n]) if d <= cap]
+    consts = [d for d in _divisors(a[0]) if d <= cap] if a[0] > 0 else middles
+
+    def pair(r, s):
+        return [consts] + [middles] * (r - 1) + [leads], partial(_nat_cofactor, a, n, r)
+
+    return _CandidateSpace(
+        pair,
+        f"coefficients <= {cap} (derived cap {derived} = max coefficient)",
+        cap >= derived,
+        "derived cofactors make the divisor-pruned scan exhaustive",
+    )
 
 
-def _nat_cofactor(a, b, n, r):
-    """Unique h with g*h = f over the naturals, if it exists: solve the
-    convolution top-down (exact division in integer polynomials), then
-    verify the remaining equations and non-negativity."""
+def _nat_cofactor(a, n, r, b):
+    """The unique h with g*h = f over the naturals as a one-candidate
+    tuple: solve the convolution top-down (exact division in integer
+    polynomials), then verify the remaining equations and non-negativity.
+    A g that fails is ruled out as the candidate None."""
     s = n - r
     br = b[r]
     q, rem = divmod(a[n], br)
     if rem:
-        return None
+        return (None,)
     c = [0] * (s + 1)
     c[s] = q
     for k in range(n - 1, r - 1, -1):
@@ -245,96 +234,74 @@ def _nat_cofactor(a, b, n, r):
             acc += b[k - j] * c[j]
         d = a[k] - acc
         if d < 0:
-            return None
+            return (None,)
         q, rem = divmod(d, br)
         if rem:
-            return None
+            return (None,)
         c[j0] = q
     for k in range(r - 1, -1, -1):
         acc = 0
         for j in range(0, min(s, k) + 1):
             acc += b[k - j] * c[j]
         if acc != a[k]:
-            return None
-    return tuple(c)
+            return (None,)
+    return (tuple(c),)
 
 
-def _tropical_search(f: Polynomial, pairs, coeff_bound, budget):
-    S = f.semiring
-    a = f.coeffs
-    n = f.degree
-    finite_vals = [v for v in a if v != INFINITY]
-    derived = max(finite_vals)  # the leading coefficient is finite
-    cap = derived if coeff_bound is None else coeff_bound
-    complete = cap >= derived
-    desc = f"finite coefficients <= {cap} plus inf (derived cap {derived})"
-    candidates = list(range(cap + 1)) + [INFINITY]
-    lead_splits = [(t, a[n] - t) for t in range(a[n] + 1)]
-    a0 = a[0] if a else INFINITY
-    if a0 != INFINITY:
-        const_splits = [(t, a0 - t) for t in range(a0 + 1)]
+def _exact_split_pairs(f: Polynomial, middles: list, split) -> Callable:
+    """Candidate pairs on carriers where b_r*c_s = a_n and b_0*c_0 = a_0
+    hold exactly.  ``split(t)`` lists the (b, c) with b*c = t for a
+    nonzero t; a zero a_0 pairs a zero b_0 with every middle candidate
+    and any other b_0 with zero.  h's extremes follow from g's."""
+    zero = f.semiring.zero_value
+    a0 = f.coeffs[0]
+    leads = {b: [c] for b, c in split(f.coeffs[-1])}
+    if a0 == zero:
+        consts = {b: middles if b == zero else [zero] for b in middles}
     else:
-        const_splits = [(INFINITY, v) for v in candidates] + [
-            (v, INFINITY) for v in candidates if v != INFINITY
-        ]
-    for r, s in pairs:
-        for bl, cl in lead_splits:
-            for b0, c0 in const_splits:
-                for g_mid in itertools.product(candidates, repeat=r - 1):
-                    g = Polynomial(S, (b0, *g_mid, bl))
-                    if g.degree != r:
-                        continue
-                    for h_mid in itertools.product(candidates, repeat=s - 1):
-                        if not budget.spend():
-                            return None, desc, False
-                        h = Polynomial(S, (c0, *h_mid, cl))
-                        if h.degree != s:
-                            continue
-                        if g * h == f:
-                            return (g, h), desc, complete
-    return None, desc, complete
+        consts = {b: [c] for b, c in split(a0)}
+
+    def pair(r, s):
+        h_middles = [middles] * (s - 1)
+        return (
+            [list(consts)] + [middles] * (r - 1) + [list(leads)],
+            lambda g_tup: itertools.product(consts[g_tup[0]], *h_middles, leads[g_tup[-1]]),
+        )
+
+    return pair
 
 
-def _gcd_search(f: Polynomial, pairs, budget):
-    S = f.semiring
-    a = f.coeffs
-    n = f.degree
-    prod = 1
-    for v in a:
-        if v > 0:
-            prod *= v
-    mid_cands = [0] + _divisors(prod)
-    desc = (
+def _tropical_space(f: Polynomial, pairs, window, coeff_bound) -> _CandidateSpace:
+    derived = max(v for v in f.coeffs if v != INFINITY)  # the leading coefficient is finite
+    cap = derived if coeff_bound is None else coeff_bound
+    middles = list(range(cap + 1)) + [INFINITY]
+    return _CandidateSpace(
+        _exact_split_pairs(f, middles, lambda t: [(b, t - b) for b in range(t + 1)]),
+        f"finite coefficients <= {cap} plus inf (derived cap {derived})",
+        cap >= derived,
+        "middle coefficients above the cap behave like inf",
+    )
+
+
+def _gcd_space(f: Polynomial, pairs, window, coeff_bound) -> _CandidateSpace:
+    middles = [0] + _divisors(math.prod(v for v in f.coeffs if v > 0))
+    return _CandidateSpace(
+        _exact_split_pairs(f, middles, lambda t: [(d, t // d) for d in _divisors(t)]),
         "extreme coefficients over divisor pairs of the extreme target "
         "coefficients; middle coefficients over divisors of the product "
-        "of the nonzero target coefficients"
+        "of the nonzero target coefficients",
+        all(r == 1 and s == 1 for r, s in pairs),
+        "divisor-pair splits are exhaustive for degree (1,1); longer "
+        "factors have unbounded middles, so this is a semi-decision",
     )
-    complete = all(r == 1 and s == 1 for r, s in pairs)
-    lead_pairs = [(d, a[n] // d) for d in _divisors(a[n])]
-    if a[0] > 0:
-        const_pairs = [(d, a[0] // d) for d in _divisors(a[0])]
-    else:
-        const_pairs = [(0, v) for v in mid_cands] + [(v, 0) for v in mid_cands if v != 0]
-    for r, s in pairs:
-        for bl, cl in lead_pairs:
-            for b0, c0 in const_pairs:
-                for g_mid in itertools.product(mid_cands, repeat=r - 1):
-                    g = Polynomial(S, (b0, *g_mid, bl)) if r > 1 else Polynomial(S, (b0, bl))
-                    if g.degree != r:
-                        continue
-                    for h_mid in itertools.product(mid_cands, repeat=s - 1):
-                        if not budget.spend():
-                            return None, desc, False
-                        h = (
-                            Polynomial(S, (c0, *h_mid, cl))
-                            if s > 1
-                            else Polynomial(S, (c0, cl))
-                        )
-                        if h.degree != s:
-                            continue
-                        if g * h == f:
-                            return (g, h), desc, complete
-    return None, desc, complete
+
+
+_CANDIDATE_SPACES = {
+    CarrierKind.FINITE: _finite_space,
+    CarrierKind.NATURALS: _nat_space,
+    CarrierKind.TROPICAL_MIN: _tropical_space,
+    CarrierKind.GCD_NATURALS: _gcd_space,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +351,8 @@ class TheoremStats:
 def _all_polynomials(S: SemiringDescriptor, max_degree: int):
     """Every canonical polynomial of degree 1..max_degree over a finite
     carrier, in a fixed lexicographic order."""
-    order = S.table.order
-    z = S.table.zero_index
     for d in range(1, max_degree + 1):
-        for tup in itertools.product(range(order), repeat=d + 1):
-            if tup[d] == z:
-                continue
+        for tup in itertools.product(*_finite_positions(S, d)):
             yield Polynomial(S, tup)
 
 
@@ -592,17 +555,11 @@ def _hunt_counterexamples(S, ideal, max_degree, spend, findings, base):
 def _hunt_near_misses(S, ideal, max_degree, spend, findings, base):
     recorded = 0
     top = min(2, max_degree)
-    order = S.table.order
-    z = S.table.zero_index
     for dg in range(1, top + 1):
         for dh in range(1, top + 1):
-            for g_tup in itertools.product(range(order), repeat=dg + 1):
-                if g_tup[dg] == z:
-                    continue
+            for g_tup in itertools.product(*_finite_positions(S, dg)):
                 g = Polynomial(S, g_tup)
-                for h_tup in itertools.product(range(order), repeat=dh + 1):
-                    if h_tup[dh] == z:
-                        continue
+                for h_tup in itertools.product(*_finite_positions(S, dh)):
                     spend()
                     h = Polynomial(S, h_tup)
                     g0_in = ideal.contains_value(g.constant_value())

@@ -67,16 +67,8 @@ class Polynomial:
         """Raw coefficient of x^k (the semiring zero beyond the degree)."""
         return self.coeffs[k] if k < len(self.coeffs) else self.semiring.zero_value
 
-    def coefficient(self, k: int) -> Element:
-        return Element(self.semiring, self.coeff_value(k))
-
     def constant_value(self):
         return self.coeff_value(0)
-
-    def leading_value(self):
-        if not self.coeffs:
-            return self.semiring.zero_value
-        return self.coeffs[-1]
 
     # -- equality -------------------------------------------------------------
 

@@ -92,21 +92,6 @@ class FiniteSemiring:
         if self.zero_index == self.one_index:
             raise TableShapeError("zero and one must be distinct elements")
 
-    def add(self, i: int, j: int) -> int:
-        return self.add_table[i][j]
-
-    def mul(self, i: int, j: int) -> int:
-        return self.mul_table[i][j]
-
-    def name_of(self, i: int) -> str:
-        return self.element_names[i]
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self.element_names.index(name)
-        except ValueError:
-            raise TableShapeError(f"unknown element name {name!r}") from None
-
     def digest(self) -> str:
         """Short content id over the literal tables, stable across runs."""
         blob = repr((self.order, self.add_table, self.mul_table)).encode()

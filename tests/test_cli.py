@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from eisenring import Polynomial, builtin_semiring, principal_ideal
+from eisenring import Polynomial, builtin_semiring, cli, principal_ideal
 from eisenring.cli import run_cli
 
 from conftest import GOLDEN_DIR, TABLES_DIR
@@ -141,6 +141,37 @@ class TestExitCodes:
     def test_usage_error_one(self):
         code, _, err = invoke(["eisenstein", "--semiring", "nat", "x"])
         assert code == 1
+
+    def test_trace_c_factor_inside_ideal_one(self):
+        # every coefficient of 2*x + 2 lies in (2), so no minimal index m exists
+        code, out, err = invoke(
+            ["trace", "--semiring", "nat", "--prime", "2", "--hypothesis-bound", "64",
+             "--g", "x + 1", "--h", "2*x + 2"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_memory_error_one(self, monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._HANDLERS, "factor", exhausted)
+        code, out, err = invoke(["factor", "--semiring", "nat", "x^2 + 1"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_factor_huge_constant_term_completes(self):
+        # the derived coefficient cap is 2^40 + 15: candidates up to it must
+        # stay lazy, since a list of them does not fit in memory
+        code, out, err = invoke(
+            ["--json", "factor", "--semiring", "nat", "x^2 + 1099511627791"]
+        )
+        assert (code, err) == (2, "")
+        doc = json.loads(out)
+        assert doc["result"] == "none-within-bounds"
+        assert doc["complete"] is True
 
 
 class TestMoreSurfaces:

@@ -58,6 +58,24 @@ def naive_nat_search(coeffs, cap):
     raise NotImplementedError(n)
 
 
+def naive_tropical_search(coeffs, cap):
+    """Independent reference search over min-plus degree-2 polynomials:
+    nested loops over both linear factors, finite leading coefficients and
+    other coefficients in 0..cap or inf, checking the raw min-plus
+    convolution equations.  Existence only."""
+    a0, a1, a2 = coeffs
+    values = list(range(cap + 1)) + [INFINITY]
+    for b1 in range(cap + 1):
+        for c1 in range(cap + 1):
+            if b1 + c1 != a2:
+                continue
+            for b0 in values:
+                for c0 in values:
+                    if b0 + c0 == a0 and min(b0 + c1, b1 + c0) == a1:
+                        return (b0, b1), (c0, c1)
+    return None
+
+
 class TestSearchExamples:
     def test_nat_found(self, nat):
         outcome = search_factorizations(Polynomial.parse("x^2 + 3*x + 2", nat))
@@ -176,6 +194,19 @@ class TestCompleteness:
             outcome = search_factorizations(f)
             naive = naive_nat_search(coeffs, 36)
             assert outcome.found == (naive is not None), coeffs
+
+    def test_tropical_degree2_exhaustive_cross_check(self, tropical):
+        values = list(range(4)) + [INFINITY]
+        for a0, a1 in itertools.product(values, repeat=2):
+            for a2 in range(4):
+                coeffs = (a0, a1, a2)
+                outcome = search_factorizations(Polynomial(tropical, coeffs))
+                assert outcome.complete, coeffs
+                cap = max(v for v in coeffs if v != INFINITY)
+                # a wider cap must find nothing more: larger values act like inf
+                for bound in (cap, cap + 2):
+                    naive = naive_tropical_search(coeffs, bound)
+                    assert outcome.found == (naive is not None), (coeffs, bound)
 
     def test_custom_coeff_bound_demotes_completeness(self, nat):
         f = Polynomial.parse("x^2 + 5*x + 6", nat)
