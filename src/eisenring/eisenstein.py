@@ -20,8 +20,8 @@ term except b_0*c_m lies in P; when P is subtractive and prime that
 forces a_m outside P, and when P is not subtractive the trace shows
 exactly where the sum absorbed the non-member term.
 
-Hypothesis certificates are carried verbatim in each report: exact on
-finite carriers, and possibly bound-verified on infinite ones.
+Hypothesis certificates are carried verbatim in each report; every
+ideal certificate the package builds is exact.
 """
 
 from __future__ import annotations

@@ -25,6 +25,10 @@ class OrderTooLargeError(EisenringError):
     """A finite-structure operation was asked for an unsupported order."""
 
 
+class OrderTooSmallError(EisenringError, ValueError):
+    """A finite-structure operation was asked for an order below 2."""
+
+
 class DegreeTooLargeError(EisenringError):
     """A polynomial scan was asked for an unsupported degree."""
 

@@ -10,7 +10,10 @@ One driver serves every carrier.  Per degree pair it walks g's
 coefficient tuples in lexicographic order, constant term first, over
 per-position candidate lists; for each g it walks the h candidates the
 carrier derives from g, spends one node per h candidate, and accepts the
-first pair whose product is f.  Only the candidate rules differ:
+first pair whose product is f.  Candidates are compared on raw
+coefficient tuples, lowest product coefficient first, and the first
+mismatch rejects the pair; only the accepted pair becomes Polynomial
+objects.  Only the candidate rules differ:
 
   finite tables   every element, nonzero leading coefficient, for g and
                   h alike; complete within the window.
@@ -18,7 +21,8 @@ first pair whose product is f.  Only the candidate rules differ:
                   <= a_(i+s) and with c_s >= 1 every g coefficient is at
                   most max(f); extreme coefficients must divide a_n and
                   a_0 exactly; h is the unique quotient in integer
-                  polynomials, derived top-down.  Complete.
+                  polynomials, derived top-down.  Middles are walked
+                  lazily up to the cap.  Complete.
   tropical-min    b_r + c_s = a_n and b_0 + c_0 = a_0 hold exactly;
                   middle candidates are capped at the largest finite
                   coefficient of f with inf included, since any larger
@@ -52,6 +56,7 @@ from .errors import (
     DegreeTooLargeError,
     DegreeTooSmallError,
     OrderTooLargeError,
+    OrderTooSmallError,
 )
 from .eisenstein import check_eisenstein, evaluate_conditions, proof_trace
 from .ideals import FiniteSetIdeal
@@ -98,8 +103,9 @@ class FactorizationOutcome:
 
 
 class _CandidateSpace(NamedTuple):
-    """``pair(r, s)`` gives g's candidates per position, constant first,
-    and a function from a g tuple to its h candidates."""
+    """``pair(r, s)`` gives g's coefficient tuples in lexicographic
+    order, constant first, and a function from a g tuple to its h
+    candidates."""
 
     pair: Callable
     coefficient_bound: str
@@ -152,24 +158,38 @@ def _first_factorization(f: Polynomial, pairs, pair_space, limit):
     """The first (g, h) in candidate order with g*h == f, or None, and the
     nodes spent: one per h candidate, and one past ``limit`` when the
     budget runs out.  An h candidate of None was ruled out while being
-    derived; it costs its node but builds nothing."""
+    derived; it costs its node but builds nothing.
+
+    Candidates are compared as raw coefficient tuples against f padded
+    with zeros to length r+s+1.  Product coefficient k folds its
+    convolution terms in the order ``Polynomial.__mul__`` does, lowest k
+    first, and the first k that differs from f rejects the pair, so
+    ``Polynomial`` objects are built only for the accepted pair."""
     S = f.semiring
+    add, mul = S.add_values, S.mul_values
     nodes = 0
     for r, s in pairs:
-        g_positions, cofactors = pair_space(r, s)
-        for g_tup in itertools.product(*g_positions):
-            g = None
+        g_tuples, cofactors = pair_space(r, s)
+        target = f.coeffs + (S.zero_value,) * (r + s - f.degree)
+        checks = []
+        for k in range(r + s + 1):
+            first, *rest = [(i, k - i) for i in range(max(0, k - s), min(k, r) + 1)]
+            checks.append((target[k], first, rest))
+        for g_tup in g_tuples:
             for h_tup in cofactors(g_tup):
                 nodes += 1
                 if nodes > limit:
                     return None, nodes
                 if h_tup is None:
                     continue
-                if g is None:
-                    g = Polynomial(S, g_tup)
-                h = Polynomial(S, h_tup)
-                if g * h == f:
-                    return (g, h), nodes
+                for want, (i, j), rest in checks:
+                    acc = mul(g_tup[i], h_tup[j])
+                    for i, j in rest:
+                        acc = add(acc, mul(g_tup[i], h_tup[j]))
+                    if acc != want:
+                        break
+                else:
+                    return (Polynomial(S, g_tup), Polynomial(S, h_tup)), nodes
     return None, nodes
 
 
@@ -185,7 +205,10 @@ def _finite_space(f: Polynomial, pairs, window, coeff_bound) -> _CandidateSpace:
 
     def pair(r, s):
         h_positions = _finite_positions(S, s)
-        return _finite_positions(S, r), lambda g_tup: itertools.product(*h_positions)
+        return (
+            itertools.product(*_finite_positions(S, r)),
+            lambda g_tup: itertools.product(*h_positions),
+        )
 
     note = (
         "all coefficient tuples; degrees add exactly on an entire carrier"
@@ -205,7 +228,8 @@ def _nat_space(f: Polynomial, pairs, window, coeff_bound) -> _CandidateSpace:
     consts = [d for d in _divisors(a[0]) if d <= cap] if a[0] > 0 else middles
 
     def pair(r, s):
-        return [consts] + [middles] * (r - 1) + [leads], partial(_nat_cofactor, a, n, r)
+        g_tuples = _lazy_product(consts, *[middles] * (r - 1), leads)
+        return g_tuples, partial(_nat_cofactor, a, n, r)
 
     return _CandidateSpace(
         pair,
@@ -213,6 +237,19 @@ def _nat_space(f: Polynomial, pairs, window, coeff_bound) -> _CandidateSpace:
         cap >= derived,
         "derived cofactors make the divisor-pruned scan exhaustive",
     )
+
+
+def _lazy_product(head, *rest):
+    """``itertools.product(head, *rest)`` in the same order without copying
+    its inputs into tuples first, which a huge nat ``range`` of middles
+    cannot survive."""
+    if not rest:
+        for v in head:
+            yield (v,)
+        return
+    for v in head:
+        for tail in _lazy_product(*rest):
+            yield (v, *tail)
 
 
 def _nat_cofactor(a, n, r, b):
@@ -264,7 +301,7 @@ def _exact_split_pairs(f: Polynomial, middles: list, split) -> Callable:
     def pair(r, s):
         h_middles = [middles] * (s - 1)
         return (
-            [list(consts)] + [middles] * (r - 1) + [list(leads)],
+            itertools.product(consts, *[middles] * (r - 1), leads),
             lambda g_tup: itertools.product(consts[g_tup[0]], *h_middles, leads[g_tup[-1]]),
         )
 
@@ -474,7 +511,7 @@ def hunt_subtractivity(
     Nothing found within budget is reported as exactly that: no claim.
     """
     if max_order < 2:
-        raise ValueError(f"max_order must be at least 2, got {max_order}")
+        raise OrderTooSmallError(f"max_order must be at least 2, got {max_order}")
     if max_order > MAX_VERIFY_ORDER:
         raise OrderTooLargeError(
             f"hunt supports max_order <= {MAX_VERIFY_ORDER}, got {max_order}"

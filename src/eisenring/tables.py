@@ -32,6 +32,7 @@ from .errors import (
     BudgetExceededError,
     MissingSectionError,
     OrderTooLargeError,
+    OrderTooSmallError,
     TableShapeError,
     TableSyntaxError,
 )
@@ -463,7 +464,7 @@ def enumerate_semirings(order: int, budget: int | None = None):
     everything yielded before that is a valid partial stream.
     """
     if order < 2:
-        raise ValueError(f"order must be at least 2, got {order}")
+        raise OrderTooSmallError(f"order must be at least 2, got {order}")
     if order > MAX_ENUMERATION_ORDER:
         raise OrderTooLargeError(
             f"semiring enumeration supports order <= {MAX_ENUMERATION_ORDER}, got {order}"

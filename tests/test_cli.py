@@ -152,6 +152,12 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_hunt_order_one_one(self):
+        code, out, err = invoke(["hunt", "--max-order", "1", "--max-degree", "2"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_memory_error_one(self, monkeypatch):
         def exhausted(args):
             raise MemoryError
@@ -204,7 +210,25 @@ class TestMoreSurfaces:
         doc = json.loads(out)
         assert doc["verdict"] == "satisfied"
         assert doc["hypothesis_route"] == "semiring-flags"
-        assert doc["hypothesis"]["prime"]["exact"] is False  # bound-verified
+        assert doc["hypothesis"]["prime"]["exact"] is True  # closed form
+        assert doc["hypothesis"]["subtractive"]["exact"] is True
+
+    def test_tropical_composite_prime_beyond_bound(self):
+        # (1000) is not prime: 1 + 999 lands in it.  A scan up to the bound
+        # never met such a pair and let the criterion report satisfied,
+        # yet the polynomial factors as (x + 600)(400*x + 1000).
+        code, out, _ = invoke(
+            ["--json", "eisenstein", "--semiring", "tropical-min", "--prime", "1000",
+             "--hypothesis-bound", "64", "400*x^2 + 1000*x + 1600"]
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["verdict"] == "hypothesis-not-established"
+        assert doc["hypothesis_failure"] == "prime"
+        assert doc["hypothesis"]["prime"]["witness"] == ["1", "999"]
+        S = builtin_semiring("tropical-min")
+        g, h = Polynomial.parse("x + 600", S), Polynomial.parse("400*x + 1000", S)
+        assert (g * h).format() == doc["polynomial"]
 
     def test_factor_window_flag(self):
         code, out, _ = invoke(

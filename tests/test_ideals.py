@@ -103,8 +103,31 @@ class TestPredicates:
     def test_tropical_one(self, tropical):
         report = principal_ideal(tropical, 1).predicates(64)
         assert report.all_hold
-        assert not report.prime.exact and report.prime.bound == 64
-        assert not report.subtractive.exact
+        assert report.prime.exact and report.prime.bound is None
+        assert report.subtractive.exact and report.subtractive.bound is None
+
+    def test_tropical_prime_beyond_bound(self, tropical):
+        # (1000) holds 500 + 500 but neither 500; a bound-64 scan never
+        # reaches such a pair, the closed form does
+        report = principal_ideal(tropical, 1000).predicates(64)
+        assert not report.prime.holds and report.prime.exact
+        assert report.prime.witness == ("1", "999")
+        assert report.subtractive.holds and report.subtractive.exact
+
+    def test_tropical_closed_forms_match_scans(self, tropical):
+        # the former bounded scans, kept as a cross-check: over 0..12 and
+        # inf they agree with the closed forms for every p in that range
+        values = list(range(13)) + [INFINITY]
+        for p in values[1:]:
+            P = principal_ideal(tropical, p)
+            report = P.predicates(12)
+            inside = [v for v in values if P.contains_value(v)]
+            outside = [v for v in values if not P.contains_value(v)]
+            prime_pairs = [(a, b) for a in outside for b in outside if P.contains_value(a + b)]
+            assert report.prime.holds == (not prime_pairs), p
+            if prime_pairs:
+                assert (1, p - 1) in prime_pairs
+            assert not [(a, b) for a in inside for b in outside if P.contains_value(min(a, b))]
 
     def test_tropical_composite(self, tropical):
         report = principal_ideal(tropical, 3).predicates(64)

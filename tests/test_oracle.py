@@ -7,6 +7,9 @@ from eisenring import (
     INFINITY,
     Polynomial,
     boolean_table,
+    builtin_semiring,
+    enumerate_semirings,
+    from_table,
     hunt_subtractivity,
     mod2_table,
     mod3_table,
@@ -15,6 +18,7 @@ from eisenring import (
     verify_theorem,
 )
 from eisenring.errors import DegreeTooLargeError, DegreeTooSmallError, OrderTooLargeError
+from eisenring import oracle
 from eisenring.oracle import (
     KIND_CRITERION_COUNTEREXAMPLE,
     KIND_NON_SUBTRACTIVE_PRIME,
@@ -74,6 +78,27 @@ def naive_tropical_search(coeffs, cap):
                     if b0 + c0 == a0 and min(b0 + c1, b1 + c0) == a1:
                         return (b0, b1), (c0, c1)
     return None
+
+
+def polynomial_product_driver(f, pairs, pair_space, limit):
+    """Reference for ``oracle._first_factorization``: the same candidates,
+    order and node rule, but every pair is built as Polynomial objects and
+    accepted only when g * h == f."""
+    S = f.semiring
+    nodes = 0
+    for r, s in pairs:
+        g_tuples, cofactors = pair_space(r, s)
+        for g_tup in g_tuples:
+            for h_tup in cofactors(g_tup):
+                nodes += 1
+                if nodes > limit:
+                    return None, nodes
+                if h_tup is None:
+                    continue
+                g, h = Polynomial(S, g_tup), Polynomial(S, h_tup)
+                if g * h == f:
+                    return (g, h), nodes
+    return None, nodes
 
 
 class TestSearchExamples:
@@ -213,6 +238,14 @@ class TestCompleteness:
         outcome = search_factorizations(f, coeff_bound=1)
         assert not outcome.found and not outcome.complete
 
+    def test_huge_nat_middles_stay_lazy(self, nat):
+        # the middle coefficients of a degree-(2, 2) split run up to
+        # 2^40 + 15; they must be walked, not copied, until the budget ends
+        f = Polynomial(nat, [2**40 + 15, 0, 0, 0, 1])
+        outcome = search_factorizations(f, node_budget=1000)
+        assert not outcome.found and not outcome.complete
+        assert outcome.nodes == 1001
+
     def test_node_budget_partial(self, boolean):
         f = Polynomial.parse("x^2 + x + 1", boolean)
         outcome = search_factorizations(f, node_budget=0)
@@ -326,3 +359,40 @@ class TestHunt:
             h = Polynomial.parse(finding.detail["h"], S)
             assert g.degree >= 1 and h.degree >= 1
             assert g * h == f
+
+
+class TestRawProductCheck:
+    """The driver's raw-tuple product check against the Polynomial-product
+    reference: identical outcomes, witnesses and node counts included."""
+
+    @staticmethod
+    def cases():
+        for order in (2, 3):
+            for fs in enumerate_semirings(order):
+                S = from_table(fs)
+                k = fs.order
+                for d in (1, 2):
+                    for tup in itertools.product(range(k), repeat=d + 1):
+                        if tup[-1] != 0:
+                            yield Polynomial(S, tup), {"window": 2, "node_budget": None}
+        rng = random.Random(7)
+        nat, tropical = builtin_semiring("nat"), builtin_semiring("tropical-min")
+        tropical_values = list(range(6)) + [INFINITY]
+        for _ in range(40):
+            d = rng.randint(2, 4)
+            f = Polynomial(nat, [rng.randint(0, 9) for _ in range(d)] + [rng.randint(1, 9)])
+            g = Polynomial(nat, [rng.randint(0, 3), rng.randint(1, 3)])
+            t = Polynomial(
+                tropical, [rng.choice(tropical_values) for _ in range(d)] + [rng.randint(0, 5)]
+            )
+            for poly in (f, f * g, t):
+                yield poly, {}
+                yield poly, {"node_budget": 7}
+
+    def test_matches_polynomial_product_reference(self, monkeypatch):
+        cases = list(self.cases())
+        fast = [search_factorizations(f, **kw).as_dict() for f, kw in cases]
+        monkeypatch.setattr(oracle, "_first_factorization", polynomial_product_driver)
+        reference = [search_factorizations(f, **kw).as_dict() for f, kw in cases]
+        assert fast == reference
+        assert sum(o["result"] == "found" for o in fast) > len(fast) // 10
