@@ -12,6 +12,11 @@ A Satisfied verdict certifies exactly one thing: f has no factorization
 into two non-constant polynomials over the carrier.  NotApplicable makes
 no claim about f either way; the criterion is sufficient, not necessary.
 
+The conditions themselves live in one predicate on raw coefficient
+tuples, ``first_failing_condition``; ``check_eisenstein`` reaches it
+through ``evaluate_conditions``, and the exhaustive scans of the oracle
+call it directly with set-membership tests.
+
 The trace engine replays the underlying argument on a concrete candidate
 factorization g*h.  After normalizing roles so the b-factor has its
 constant term outside P, it finds the least m with c_m outside P and
@@ -121,27 +126,47 @@ class EisensteinReport:
         }
 
 
+def first_failing_condition(coeffs, in_p, in_p_square):
+    """The first failing condition of a raw coefficient tuple (constant
+    first, nonzero leader) and its witness index, or (None, None) when all
+    three hold.  ``in_p`` and ``in_p_square`` test a raw value for
+    membership in P and in P^2.  Conditions are tested in order, condition
+    2 from index 0 up, and the first failure wins; ``in_p_square`` is
+    called only once conditions 1 and 2 hold.
+
+    This is the one implementation of the three conditions:
+    ``evaluate_conditions`` (and through it ``check_eisenstein``) calls it
+    on a polynomial's coefficients, and the batch paths of
+    ``verify_theorem`` and ``hunt_subtractivity`` call it on raw tuples,
+    building a Polynomial only for a tuple that meets all three."""
+    n = len(coeffs) - 1
+    if in_p(coeffs[n]):
+        return 1, n
+    for i in range(n):
+        if not in_p(coeffs[i]):
+            return 2, i
+    if in_p_square(coeffs[0]):
+        return 3, 0
+    return None, None
+
+
 def evaluate_conditions(f: Polynomial, P: Ideal):
     """Membership checks only, without the hypothesis gate.  Returns
     (failing_condition or None, witness_index, witness_value, evidence).
     Conditions are checked in order and the first failure wins."""
-    n = f.degree
-    leading = f.coeff_value(n)
-    leading_in = P.contains_value(leading)
-    if leading_in:
-        return 1, n, leading, ConditionEvidence(leading_in_ideal=True)
-    lower = []
-    for i in range(n):
-        v = f.coeff_value(i)
-        ok = P.contains_value(v)
-        lower.append((i, v, ok))
-        if not ok:
-            return 2, i, v, ConditionEvidence(False, tuple(lower))
-    constant = f.coeff_value(0)
-    in_square = P.square().contains_value(constant)
-    evidence = ConditionEvidence(False, tuple(lower), in_square)
-    if in_square:
-        return 3, 0, constant, evidence
+    a = f.coeffs
+    failing, index = first_failing_condition(a, P.contains_value, P.square().contains_value)
+    if failing == 1:
+        return 1, index, a[index], ConditionEvidence(leading_in_ideal=True)
+    # the memberships the predicate saw: every one before the failure held
+    if failing == 2:
+        lower = [(i, a[i], True) for i in range(index)]
+        lower.append((index, a[index], False))
+        return 2, index, a[index], ConditionEvidence(False, tuple(lower))
+    lower = tuple([(i, a[i], True) for i in range(len(a) - 1)])
+    evidence = ConditionEvidence(False, lower, failing == 3)
+    if failing == 3:
+        return 3, 0, a[0], evidence
     return None, None, None, evidence
 
 

@@ -37,6 +37,10 @@ class DegreeTooSmallError(EisenringError):
     """The operation needs a non-constant polynomial."""
 
 
+class WindowOutOfRangeError(EisenringError, ValueError):
+    """A factor-degree window is negative or above its cap."""
+
+
 class BudgetExceededError(EisenringError):
     """An enumeration ran out of its node budget; results so far are partial."""
 

@@ -3,16 +3,23 @@
 ``search_factorizations`` looks for f = g*h with both factors
 non-constant.  Candidate degree pairs are r+s = n on entire carriers; on
 carriers with zero divisors leading terms can cancel, so the pair window
-widens to r+s in [max(2, n), n+window].  Mirrored pairs (r > s) are
-skipped because multiplication is commutative.
+widens to r+s in [max(2, n), n+window], with window in
+0..MAX_DEGREE_WINDOW.  Mirrored pairs (r > s) are skipped because
+multiplication is commutative.
 
 One driver serves every carrier.  Per degree pair it walks g's
 coefficient tuples in lexicographic order, constant term first, over
-per-position candidate lists; for each g it walks the h candidates the
-carrier derives from g, spends one node per h candidate, and accepts the
-first pair whose product is f.  Candidates are compared on raw
-coefficient tuples, lowest product coefficient first, and the first
-mismatch rejects the pair; only the accepted pair becomes Polynomial
+per-position candidate lists; for each g the carrier gives h's
+per-position candidate lists, and the driver walks h depth-first, one
+position at a time, constant first.  Product coefficient j <= s needs
+only g and h_0..h_j, so it is compared with a_j as soon as h_j is fixed
+and a mismatch rejects the whole prefix; coefficients s+1..r+s are
+compared at the leaf.  The budget counts full h candidates: a leaf costs
+one node and a rejected prefix costs the product of the remaining list
+lengths, the number of full h candidates beneath it, so the first
+witness, ``nodes``, ``complete`` and the budget cut-off are exactly
+those of trying every full h tuple in turn.  Candidates are compared as
+raw coefficient tuples; only the accepted pair becomes Polynomial
 objects.  Only the candidate rules differ:
 
   finite tables   every element, nonzero leading coefficient, for g and
@@ -37,9 +44,12 @@ objects.  Only the candidate rules differ:
 
 ``verify_theorem`` exhausts a finite semiring: every ideal, every
 subtractive prime, every polynomial up to a degree cap, and a complete
-search behind every Satisfied verdict.  ``hunt_subtractivity`` streams
-enumerated semirings looking for prime-but-not-subtractive ideals, for
-genuine counterexamples to the criterion-without-subtractivity, and for
+search behind every Satisfied verdict.  It and the hunt test the three
+conditions with ``first_failing_condition`` on raw coefficient tuples
+against the ideal's element sets and build a Polynomial only for a tuple
+that meets all three.  ``hunt_subtractivity`` streams enumerated
+semirings looking for prime-but-not-subtractive ideals, for genuine
+counterexamples to the criterion-without-subtractivity, and for
 proof-trace near misses where a_m lands in the ideal.
 """
 
@@ -57,8 +67,9 @@ from .errors import (
     DegreeTooSmallError,
     OrderTooLargeError,
     OrderTooSmallError,
+    WindowOutOfRangeError,
 )
-from .eisenstein import check_eisenstein, evaluate_conditions, proof_trace
+from .eisenstein import first_failing_condition, proof_trace
 from .ideals import FiniteSetIdeal
 from .polynomials import Polynomial
 from .semirings import INFINITY, CarrierKind, SemiringDescriptor, from_table
@@ -68,6 +79,7 @@ DEFAULT_DEGREE_WINDOW = 2
 DEFAULT_NODE_BUDGET = 2_000_000
 MAX_VERIFY_ORDER = 4
 MAX_VERIFY_DEGREE = 4
+MAX_DEGREE_WINDOW = 4
 NEAR_MISS_CAP = 10
 
 MIRROR_NOTE = "degree pairs with r > s are covered by commutativity"
@@ -104,8 +116,9 @@ class FactorizationOutcome:
 
 class _CandidateSpace(NamedTuple):
     """``pair(r, s)`` gives g's coefficient tuples in lexicographic
-    order, constant first, and a function from a g tuple to its h
-    candidates."""
+    order, constant first, and a function from a g tuple to h's
+    per-position candidate lists, constant first, or None when that g is
+    ruled out."""
 
     pair: Callable
     coefficient_bound: str
@@ -127,11 +140,13 @@ def search_factorizations(
     """First factorization of f into two non-constant polynomials in a
     deterministic lexicographic order, else NoneWithinBounds.
 
-    ``coeff_bound`` overrides the carrier's derived coefficient cap; a
-    cap below the derived one demotes the outcome to complete=False.
+    ``window`` must lie in 0..MAX_DEGREE_WINDOW.  ``coeff_bound``
+    overrides the carrier's derived coefficient cap; a cap below the
+    derived one demotes the outcome to complete=False.
     ``node_budget`` limits candidates examined; running out returns a
     partial outcome instead of raising.
     """
+    _check_window(window)
     S = f.semiring
     n = f.degree
     if n is None or n < 1:
@@ -154,42 +169,102 @@ def search_factorizations(
     return FactorizationOutcome(g, h, complete, pairs, space.coefficient_bound, nodes, note)
 
 
+def _check_window(window: int) -> None:
+    """A negative window searches no degree pair and would pass off an
+    empty search as complete; a huge one builds degree pairs without end."""
+    if not 0 <= window <= MAX_DEGREE_WINDOW:
+        raise WindowOutOfRangeError(
+            f"the degree window must be in 0..{MAX_DEGREE_WINDOW}, got {window}"
+        )
+
+
 def _first_factorization(f: Polynomial, pairs, pair_space, limit):
     """The first (g, h) in candidate order with g*h == f, or None, and the
-    nodes spent: one per h candidate, and one past ``limit`` when the
-    budget runs out.  An h candidate of None was ruled out while being
-    derived; it costs its node but builds nothing.
+    nodes spent: one per full h candidate, and ``limit + 1`` when the
+    budget runs out.  A g whose h lists are None was ruled out while they
+    were derived; it costs one node.
 
-    Candidates are compared as raw coefficient tuples against f padded
-    with zeros to length r+s+1.  Product coefficient k folds its
-    convolution terms in the order ``Polynomial.__mul__`` does, lowest k
-    first, and the first k that differs from f rejects the pair, so
-    ``Polynomial`` objects are built only for the accepted pair."""
+    h is walked one position at a time, constant first.  Product
+    coefficient j <= s needs only g and h_0..h_j, so it is compared with f
+    as soon as h_j is fixed; a mismatch rejects the prefix and charges the
+    full h candidates beneath it.  Coefficients s+1..r+s are compared at
+    the leaf.  Candidate order, nodes and the budget cut-off are those of
+    trying every full h tuple in turn; only the accepted pair becomes
+    Polynomial objects."""
     S = f.semiring
-    add, mul = S.add_values, S.mul_values
     nodes = 0
     for r, s in pairs:
-        g_tuples, cofactors = pair_space(r, s)
+        g_tuples, h_lists = pair_space(r, s)
         target = f.coeffs + (S.zero_value,) * (r + s - f.degree)
-        checks = []
-        for k in range(r + s + 1):
-            first, *rest = [(i, k - i) for i in range(max(0, k - s), min(k, r) + 1)]
-            checks.append((target[k], first, rest))
-        for g_tup in g_tuples:
-            for h_tup in cofactors(g_tup):
+        top = [
+            (target[k], [(i, k - i) for i in range(k - s, r + 1)])
+            for k in range(s + 1, r + s + 1)
+        ]
+        for g in g_tuples:
+            lists = h_lists(g)
+            if lists is None:
                 nodes += 1
                 if nodes > limit:
                     return None, nodes
-                if h_tup is None:
-                    continue
-                for want, (i, j), rest in checks:
-                    acc = mul(g_tup[i], h_tup[j])
-                    for i, j in rest:
-                        acc = add(acc, mul(g_tup[i], h_tup[j]))
-                    if acc != want:
-                        break
-                else:
-                    return (Polynomial(S, g_tup), Polynomial(S, h_tup)), nodes
+                continue
+            h, nodes = _first_cofactor(S, g, lists, target, top, nodes, limit)
+            if h is not None:
+                return (Polynomial(S, g), Polynomial(S, h)), nodes
+            if nodes > limit:
+                return None, nodes
+    return None, nodes
+
+
+def _first_cofactor(S, g, lists, target, top, nodes, limit):
+    """Depth-first walk of h over ``lists`` for one g: the first h with
+    g*h equal to ``target``, or None, and the running node count (``limit
+    + 1`` once the budget runs out).  At position j the terms of
+    coefficient j that use h_0..h_(j-1) are folded once per prefix and
+    g_0*h_j is added per candidate; the carrier's addition is associative
+    and commutative, so this gives the value Polynomial.__mul__ does.
+    Leaf coefficients fold from the lowest g index up."""
+    add, mul = S.add_values, S.mul_values
+    r, s = len(g) - 1, len(lists) - 1
+    below = [1] * (s + 1)  # full h candidates beneath one prefix h_0..h_j
+    for j in range(s, 0, -1):
+        below[j - 1] = below[j] * len(lists[j])
+    g0 = g[0]
+    h = [None] * (s + 1)
+    rests = [None] * (s + 1)
+    walks = [iter(lists[0])] + [None] * s
+    j = 0
+    while j >= 0:
+        want, rest = target[j], rests[j]
+        for v in walks[j]:
+            acc = mul(g0, v) if rest is None else add(mul(g0, v), rest)
+            if acc != want:
+                nodes += below[j]
+                if nodes > limit:
+                    return None, limit + 1
+                continue
+            h[j] = v
+            if j < s:
+                j += 1
+                rest = None
+                for i in range(1, min(j, r) + 1):
+                    t = mul(g[i], h[j - i])
+                    rest = t if rest is None else add(rest, t)
+                rests[j] = rest
+                walks[j] = iter(lists[j])
+                break
+            nodes += 1
+            if nodes > limit:
+                return None, nodes
+            for a_k, ((i, k), *terms) in top:
+                acc = mul(g[i], h[k])
+                for i, k in terms:
+                    acc = add(acc, mul(g[i], h[k]))
+                if acc != a_k:
+                    break
+            else:
+                return tuple(h), nodes
+        else:
+            j -= 1
     return None, nodes
 
 
@@ -205,10 +280,7 @@ def _finite_space(f: Polynomial, pairs, window, coeff_bound) -> _CandidateSpace:
 
     def pair(r, s):
         h_positions = _finite_positions(S, s)
-        return (
-            itertools.product(*_finite_positions(S, r)),
-            lambda g_tup: itertools.product(*h_positions),
-        )
+        return itertools.product(*_finite_positions(S, r)), lambda g_tup: h_positions
 
     note = (
         "all coefficient tuples; degrees add exactly on an entire carrier"
@@ -253,15 +325,15 @@ def _lazy_product(head, *rest):
 
 
 def _nat_cofactor(a, n, r, b):
-    """The unique h with g*h = f over the naturals as a one-candidate
-    tuple: solve the convolution top-down (exact division in integer
-    polynomials), then verify the remaining equations and non-negativity.
-    A g that fails is ruled out as the candidate None."""
+    """The unique h with g*h = f over the naturals as one-element
+    position lists: solve the convolution top-down (exact division in
+    integer polynomials), then verify the remaining equations and
+    non-negativity.  A g that fails is ruled out as None."""
     s = n - r
     br = b[r]
     q, rem = divmod(a[n], br)
     if rem:
-        return (None,)
+        return None
     c = [0] * (s + 1)
     c[s] = q
     for k in range(n - 1, r - 1, -1):
@@ -271,18 +343,18 @@ def _nat_cofactor(a, n, r, b):
             acc += b[k - j] * c[j]
         d = a[k] - acc
         if d < 0:
-            return (None,)
+            return None
         q, rem = divmod(d, br)
         if rem:
-            return (None,)
+            return None
         c[j0] = q
     for k in range(r - 1, -1, -1):
         acc = 0
         for j in range(0, min(s, k) + 1):
             acc += b[k - j] * c[j]
         if acc != a[k]:
-            return (None,)
-    return (tuple(c),)
+            return None
+    return [[v] for v in c]
 
 
 def _exact_split_pairs(f: Polynomial, middles: list, split) -> Callable:
@@ -302,7 +374,7 @@ def _exact_split_pairs(f: Polynomial, middles: list, split) -> Callable:
         h_middles = [middles] * (s - 1)
         return (
             itertools.product(consts, *[middles] * (r - 1), leads),
-            lambda g_tup: itertools.product(consts[g_tup[0]], *h_middles, leads[g_tup[-1]]),
+            lambda g_tup: [consts[g_tup[0]], *h_middles, leads[g_tup[-1]]],
         )
 
     return pair
@@ -385,12 +457,16 @@ class TheoremStats:
         }
 
 
-def _all_polynomials(S: SemiringDescriptor, max_degree: int):
-    """Every canonical polynomial of degree 1..max_degree over a finite
-    carrier, in a fixed lexicographic order."""
+def _all_coefficient_tuples(S: SemiringDescriptor, max_degree: int):
+    """The coefficient tuple of every canonical polynomial of degree
+    1..max_degree over a finite carrier, in a fixed lexicographic order."""
     for d in range(1, max_degree + 1):
-        for tup in itertools.product(*_finite_positions(S, d)):
-            yield Polynomial(S, tup)
+        yield from itertools.product(*_finite_positions(S, d))
+
+
+def _condition_tests(ideal: FiniteSetIdeal):
+    """Raw membership tests for P and P^2, for ``first_failing_condition``."""
+    return ideal.elements.__contains__, ideal.square().elements.__contains__
 
 
 def verify_theorem(
@@ -398,9 +474,10 @@ def verify_theorem(
 ) -> TheoremStats:
     """Exhaustive validation harness for one finite semiring.
 
-    Every Satisfied verdict is answered with a complete windowed search;
-    any factorization found is a violation witness and re-checks end to
-    end.  The expected count is zero; a non-zero count is a finding to
+    Every subtractive prime ideal is tried against every polynomial; each
+    one meeting the three conditions (a Satisfied verdict) is answered
+    with a complete windowed search; any factorization found is a
+    violation witness and re-checks end to end.  The expected count is zero; a non-zero count is a finding to
     investigate, not an assertion failure here.
     """
     order = semiring.table.order if isinstance(semiring, SemiringDescriptor) else semiring.order
@@ -414,18 +491,20 @@ def verify_theorem(
         raise DegreeTooLargeError(
             f"verify_theorem supports max_degree in 1..{MAX_VERIFY_DEGREE}, got {max_degree}"
         )
+    _check_window(window)
     ideal_sets = enumerate_ideals(fs)
     ideals = [FiniteSetIdeal(S, subset) for subset in ideal_sets]
     sub_primes = [i for i in ideals if i.predicates().all_hold]
-    polynomials = list(_all_polynomials(S, max_degree))
+    tuples = list(_all_coefficient_tuples(S, max_degree))
     applicable = 0
     witnesses = []
     for ideal in sub_primes:
-        for f in polynomials:
-            report = check_eisenstein(f, ideal)
-            if not report.satisfied:
+        in_p, in_p_square = _condition_tests(ideal)
+        for tup in tuples:
+            if first_failing_condition(tup, in_p, in_p_square)[0] is not None:
                 continue
             applicable += 1
+            f = Polynomial(S, tup)
             outcome = search_factorizations(f, window=window, node_budget=None)
             if outcome.found:
                 witnesses.append(
@@ -441,7 +520,7 @@ def verify_theorem(
         ideals_found=len(ideals),
         subtractive_primes=len(sub_primes),
         subtractive_prime_sets=tuple(i.describe() for i in sub_primes),
-        polynomials_scanned=len(polynomials),
+        polynomials_scanned=len(tuples),
         criterion_applicable=applicable,
         violations=len(witnesses),
         violation_witnesses=tuple(witnesses),
@@ -570,11 +649,12 @@ def hunt_subtractivity(
 
 
 def _hunt_counterexamples(S, ideal, max_degree, spend, findings, base):
-    for f in _all_polynomials(S, max_degree):
+    in_p, in_p_square = _condition_tests(ideal)
+    for tup in _all_coefficient_tuples(S, max_degree):
         spend()
-        failing, _, _, _ = evaluate_conditions(f, ideal)
-        if failing is not None:
+        if first_failing_condition(tup, in_p, in_p_square)[0] is not None:
             continue
+        f = Polynomial(S, tup)
         outcome = search_factorizations(f, window=DEFAULT_DEGREE_WINDOW, node_budget=None)
         if outcome.found:
             findings.append(
@@ -591,24 +671,21 @@ def _hunt_counterexamples(S, ideal, max_degree, spend, findings, base):
 
 def _hunt_near_misses(S, ideal, max_degree, spend, findings, base):
     recorded = 0
+    members = ideal.elements
     top = min(2, max_degree)
     for dg in range(1, top + 1):
         for dh in range(1, top + 1):
             for g_tup in itertools.product(*_finite_positions(S, dg)):
-                g = Polynomial(S, g_tup)
                 for h_tup in itertools.product(*_finite_positions(S, dh)):
                     spend()
-                    h = Polynomial(S, h_tup)
-                    g0_in = ideal.contains_value(g.constant_value())
-                    h0_in = ideal.contains_value(h.constant_value())
-                    if g0_in and h0_in:
+                    # the trace's own role rules, on raw tuples: both
+                    # constants in P leave no roles; a c wholly in P has no m
+                    g0_in = g_tup[0] in members
+                    if g0_in and h_tup[0] in members:
                         continue
-                    c = h if not g0_in else g
-                    if all(
-                        ideal.contains_value(c.coeff_value(k))
-                        for k in range(c.degree + 1)
-                    ):
+                    if all(v in members for v in (g_tup if g0_in else h_tup)):
                         continue
+                    g, h = Polynomial(S, g_tup), Polynomial(S, h_tup)
                     trace = proof_trace(g, h, ideal)
                     if not trace.a_m_in_ideal:
                         continue

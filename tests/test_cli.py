@@ -158,6 +158,17 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["factor", "--semiring", "nat", "--window", "-1", "x^2 + 3*x + 2"],
+        ["factor", "--file", N3, "--window", "1000000", "x^2 + 1"],
+        ["verify-theorem", "--file", N3, "--max-degree", "2", "--window", "-1"],
+    ])
+    def test_bad_window_one(self, argv):
+        code, out, err = invoke(argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_memory_error_one(self, monkeypatch):
         def exhausted(args):
             raise MemoryError

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,9 @@ from eisenring import (
     Verdict,
     check_corollary,
     check_eisenstein,
+    enumerate_ideals,
+    enumerate_semirings,
+    from_table,
     ideal_closure,
     principal_ideal,
     proof_trace,
@@ -17,6 +21,8 @@ from eisenring.eisenstein import (
     OUTCOME_TRACED,
     ROUTE_IDEAL_CERTIFICATE,
     ROUTE_SEMIRING_FLAGS,
+    evaluate_conditions,
+    first_failing_condition,
 )
 from eisenring.errors import (
     DegreeTooSmallError,
@@ -24,6 +30,7 @@ from eisenring.errors import (
     NotPrimeElementError,
     SemiringMismatchError,
 )
+from eisenring.ideals import FiniteSetIdeal
 
 BOUND = 128
 
@@ -124,6 +131,29 @@ class TestCheckEisenstein:
             if k == 3:
                 assert all(ok for _, _, ok in ev.lower)
                 assert ev.constant_in_square is True
+
+
+class TestConditionPredicate:
+    def test_raw_tuples_agree_with_evaluate_conditions(self):
+        # the batch paths of verify_theorem and hunt test raw tuples against
+        # the ideal's element sets; the report path must give the same
+        # first failure for every ideal and every polynomial up to degree 3
+        outcomes = set()
+        for order in (2, 3):
+            for fs in enumerate_semirings(order):
+                S = from_table(fs)
+                leads = [v for v in range(order) if v != fs.zero_index]
+                for subset in enumerate_ideals(fs):
+                    P = FiniteSetIdeal(S, subset)
+                    in_p, in_p_square = P.elements.__contains__, P.square().elements.__contains__
+                    for d in range(4):
+                        for lower in itertools.product(range(order), repeat=d):
+                            for lead in leads:
+                                tup = lower + (lead,)
+                                want = evaluate_conditions(Polynomial(S, tup), P)[:2]
+                                assert first_failing_condition(tup, in_p, in_p_square) == want
+                                outcomes.add(want[0])
+        assert outcomes == {None, 1, 2, 3}
 
 
 class TestCorollary:

@@ -17,13 +17,25 @@ from eisenring import (
     search_factorizations,
     verify_theorem,
 )
-from eisenring.errors import DegreeTooLargeError, DegreeTooSmallError, OrderTooLargeError
+from eisenring.errors import (
+    DegreeTooLargeError,
+    DegreeTooSmallError,
+    OrderTooLargeError,
+    WindowOutOfRangeError,
+)
 from eisenring import oracle
 from eisenring.oracle import (
     KIND_CRITERION_COUNTEREXAMPLE,
     KIND_NON_SUBTRACTIVE_PRIME,
     KIND_TRACE_NEAR_MISS,
+    MAX_DEGREE_WINDOW,
 )
+
+Z4_DIGEST = "7e43d690036d"  # the integers mod 4 among the order-4 semirings
+
+
+def z4():
+    return next(from_table(fs) for fs in enumerate_semirings(4) if fs.digest() == Z4_DIGEST)
 
 
 def naive_nat_search(coeffs, cap):
@@ -82,14 +94,16 @@ def naive_tropical_search(coeffs, cap):
 
 def polynomial_product_driver(f, pairs, pair_space, limit):
     """Reference for ``oracle._first_factorization``: the same candidates,
-    order and node rule, but every pair is built as Polynomial objects and
-    accepted only when g * h == f."""
+    order and node rule, but every full h tuple is expanded with
+    ``itertools.product``, one node each (a g ruled out with None is one
+    node), built as Polynomial objects and accepted only when g * h == f."""
     S = f.semiring
     nodes = 0
     for r, s in pairs:
-        g_tuples, cofactors = pair_space(r, s)
+        g_tuples, h_lists = pair_space(r, s)
         for g_tup in g_tuples:
-            for h_tup in cofactors(g_tup):
+            lists = h_lists(g_tup)
+            for h_tup in [None] if lists is None else itertools.product(*lists):
                 nodes += 1
                 if nodes > limit:
                     return None, nodes
@@ -195,6 +209,19 @@ class TestWindow:
             # totals = [max(2, 1)..1+0] = [] so nothing is searched
             assert not outcome.found
 
+    def test_bad_window_rejected(self, nilpotent3, nat):
+        # a negative window searched no degree pair yet claimed complete,
+        # so verify_theorem certified 0 violations on Z/4
+        S = z4()
+        for window in (-1, -2, MAX_DEGREE_WINDOW + 1, 10**12):
+            with pytest.raises(WindowOutOfRangeError):
+                search_factorizations(Polynomial(nilpotent3, (1, 1, 1)), window=window)
+            with pytest.raises(WindowOutOfRangeError):
+                search_factorizations(Polynomial.parse("x^2 + 3*x + 2", nat), window=window)
+            with pytest.raises(WindowOutOfRangeError):
+                verify_theorem(S, 3, window=window)
+        assert verify_theorem(S, 1, window=MAX_DEGREE_WINDOW).violations > 0
+
 
 class TestCompleteness:
     def test_nat_degree2_exhaustive_cross_check(self, nat):
@@ -281,6 +308,21 @@ class TestVerifyTheorem:
             assert stats.criterion_applicable == 0
             assert stats.violations == 0
 
+    def test_order_four_violations_only_without_entireness(self):
+        # the criterion's conclusion fails at order 4 only where degrees do
+        # not add: every violation lies on a carrier with zero divisors
+        violations = {}
+        for fs in enumerate_semirings(4):
+            S = from_table(fs)
+            stats = verify_theorem(S, 3, window=2)
+            if S.flags.is_entire:
+                assert stats.violations == 0, stats.as_dict()
+            elif stats.violations:
+                violations[stats.semiring_id] = stats.violations
+        assert violations == {
+            "86877ad288ac": 14, "f16831ab76b5": 7, "acc3f1ba3c46": 27, Z4_DIGEST: 14,
+        }
+
     def test_limits(self):
         from eisenring.tables import FiniteSemiring
 
@@ -336,6 +378,10 @@ class TestHunt:
         assert not report.partial
         counterexamples = report.counterexamples()
         assert counterexamples  # subtractivity is a load-bearing hypothesis
+        # ...and on entire carriers, where the subtractive criterion holds,
+        # so it is the missing subtractivity, not zero divisors, that fails
+        assert len(counterexamples) == 13
+        assert len({f.semiring_id for f in counterexamples}) == 4
         for finding in counterexamples:
             fs = FiniteSemiring(
                 finding.order,
@@ -355,6 +401,7 @@ class TestHunt:
             f = Polynomial.parse(finding.detail["polynomial"], S)
             failing, _, _, _ = evaluate_conditions(f, ideal)
             assert failing is None  # all three conditions hold
+            assert S.flags.is_entire
             g = Polynomial.parse(finding.detail["g"], S)
             h = Polynomial.parse(finding.detail["h"], S)
             assert g.degree >= 1 and h.degree >= 1
@@ -396,3 +443,25 @@ class TestRawProductCheck:
         reference = [search_factorizations(f, **kw).as_dict() for f, kw in cases]
         assert fast == reference
         assert sum(o["result"] == "found" for o in fast) > len(fast) // 10
+
+    def test_budget_sweep_matches_reference(self, monkeypatch, nilpotent3, tropical, gcdnat):
+        # every cut-off from 0 to one past the nodes a full search spends:
+        # a pruned h prefix must be charged every h candidate beneath it
+        cases = [
+            Polynomial(nilpotent3, (1, 1, 1)),
+            Polynomial(nilpotent3, (1, 2)),
+            Polynomial(z4(), (2, 1)),  # x + 2 = (2*x + 1)(2*x^2 + x + 2)
+            Polynomial(tropical, (0, 1, 2)),
+            Polynomial(tropical, (2, 4, 2, 1)),
+            Polynomial(gcdnat, (2, 13, 6)),
+            Polynomial(gcdnat, (4, 2, 6, 3)),
+        ]
+        runs = []
+        for f in cases:
+            nodes = search_factorizations(f, node_budget=None).nodes
+            runs += [(f, budget) for budget in (None, *range(nodes + 2))]
+        fast = [search_factorizations(f, node_budget=b).as_dict() for f, b in runs]
+        monkeypatch.setattr(oracle, "_first_factorization", polynomial_product_driver)
+        reference = [search_factorizations(f, node_budget=b).as_dict() for f, b in runs]
+        assert fast == reference
+        assert {o["result"] for o in fast} == {"found", "none-within-bounds"}
