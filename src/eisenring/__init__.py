@@ -17,7 +17,6 @@ from .eisenstein import (
     Verdict,
     check_corollary,
     check_eisenstein,
-    evaluate_conditions,
     proof_trace,
 )
 from .ideals import (
@@ -107,7 +106,6 @@ __all__ = [
     "enumerate_ideals",
     "enumerate_semirings",
     "errors",
-    "evaluate_conditions",
     "format_semiring_file",
     "from_table",
     "hunt_subtractivity",

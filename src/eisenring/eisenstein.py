@@ -13,9 +13,12 @@ into two non-constant polynomials over the carrier.  NotApplicable makes
 no claim about f either way; the criterion is sufficient, not necessary.
 
 The conditions themselves live in one predicate on raw coefficient
-tuples, ``first_failing_condition``; ``check_eisenstein`` reaches it
-through ``evaluate_conditions``, and the exhaustive scans of the oracle
-call it directly with set-membership tests.
+tuples, ``first_failing_condition``.  ``check_eisenstein`` calls it on a
+polynomial's coefficients and the exhaustive scans of the oracle call it
+with set-membership tests.  A report keeps only the first failing
+condition and its witness index: since the conditions are tested in
+order, these fix every membership fact, and ``as_dict`` derives the
+printed evidence from them and the coefficients.
 
 The trace engine replays the underlying argument on a concrete candidate
 factorization g*h.  After normalizing roles so the b-factor has its
@@ -57,25 +60,12 @@ class Verdict(enum.Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class ConditionEvidence:
-    """Raw membership facts backing a verdict.  ``lower`` lists (index,
-    value, in P) pairs for the coefficients below the degree, recorded in
-    ascending order up to and including the first failure."""
-
-    leading_in_ideal: bool | None = None
-    lower: tuple = ()
-    constant_in_square: bool | None = None
-
-
-@dataclass(frozen=True, slots=True)
 class EisensteinReport:
     polynomial: Polynomial
     ideal: Ideal
     verdict: Verdict
     failing_condition: int | None
     witness_index: int | None
-    witness_value: object
-    evidence: ConditionEvidence
     hypothesis: IdealPredicateReport
     hypothesis_failure: str | None
     hypothesis_bound: int
@@ -85,39 +75,55 @@ class EisensteinReport:
     def satisfied(self) -> bool:
         return self.verdict is Verdict.SATISFIED
 
+    @property
+    def witness_value(self):
+        """The raw coefficient at ``witness_index``, or None."""
+        i = self.witness_index
+        return None if i is None else self.polynomial.coeffs[i]
+
     def as_dict(self) -> dict:
-        S = self.polynomial.semiring
-        fmt = S.format_value
-        ev = self.evidence
+        f = self.polynomial
+        fmt = f.semiring.format_value
+        a = f.coeffs
+        n = f.degree
+        failing = self.failing_condition
         conditions = {}
-        if ev.leading_in_ideal is not None:
-            n = self.polynomial.degree
+        if self.verdict is not Verdict.HYPOTHESIS_NOT_ESTABLISHED:
             conditions["1"] = {
                 "coefficient_index": n,
-                "value": fmt(self.polynomial.coeff_value(n)),
-                "in_ideal": ev.leading_in_ideal,
-                "holds": not ev.leading_in_ideal,
+                "value": fmt(a[n]),
+                "in_ideal": failing == 1,
+                "holds": failing != 1,
             }
-        if ev.lower:
+        if failing == 2:
+            # every lower coefficient before the failure was seen in P
+            w = self.witness_index
             conditions["2"] = {
                 "memberships": [
-                    {"index": i, "value": fmt(v), "in_ideal": ok} for i, v, ok in ev.lower
+                    {"index": i, "value": fmt(a[i]), "in_ideal": i != w} for i in range(w + 1)
                 ],
-                "holds": all(ok for _, _, ok in ev.lower),
+                "holds": False,
             }
-        if ev.constant_in_square is not None:
+        elif self.verdict is Verdict.SATISFIED or failing == 3:
+            conditions["2"] = {
+                "memberships": [
+                    {"index": i, "value": fmt(a[i]), "in_ideal": True} for i in range(n)
+                ],
+                "holds": True,
+            }
             conditions["3"] = {
-                "value": fmt(self.polynomial.coeff_value(0)),
-                "in_ideal_square": ev.constant_in_square,
-                "holds": not ev.constant_in_square,
+                "value": fmt(a[0]),
+                "in_ideal_square": failing == 3,
+                "holds": failing != 3,
             }
+        witness = self.witness_value
         return {
-            "polynomial": self.polynomial.format(),
+            "polynomial": f.format(),
             "ideal": self.ideal.describe(),
             "verdict": self.verdict.value,
-            "failing_condition": self.failing_condition,
+            "failing_condition": failing,
             "witness_index": self.witness_index,
-            "witness_value": None if self.witness_value is None else fmt(self.witness_value),
+            "witness_value": None if witness is None else fmt(witness),
             "conditions": conditions,
             "hypothesis": self.hypothesis.as_dict(),
             "hypothesis_failure": self.hypothesis_failure,
@@ -135,10 +141,10 @@ def first_failing_condition(coeffs, in_p, in_p_square):
     called only once conditions 1 and 2 hold.
 
     This is the one implementation of the three conditions:
-    ``evaluate_conditions`` (and through it ``check_eisenstein``) calls it
-    on a polynomial's coefficients, and the batch paths of
-    ``verify_theorem`` and ``hunt_subtractivity`` call it on raw tuples,
-    building a Polynomial only for a tuple that meets all three."""
+    ``check_eisenstein`` calls it on a polynomial's coefficients, and the
+    batch paths of ``verify_theorem`` and ``hunt_subtractivity`` call it
+    on raw tuples, building a Polynomial only for a tuple that meets all
+    three."""
     n = len(coeffs) - 1
     if in_p(coeffs[n]):
         return 1, n
@@ -148,26 +154,6 @@ def first_failing_condition(coeffs, in_p, in_p_square):
     if in_p_square(coeffs[0]):
         return 3, 0
     return None, None
-
-
-def evaluate_conditions(f: Polynomial, P: Ideal):
-    """Membership checks only, without the hypothesis gate.  Returns
-    (failing_condition or None, witness_index, witness_value, evidence).
-    Conditions are checked in order and the first failure wins."""
-    a = f.coeffs
-    failing, index = first_failing_condition(a, P.contains_value, P.square().contains_value)
-    if failing == 1:
-        return 1, index, a[index], ConditionEvidence(leading_in_ideal=True)
-    # the memberships the predicate saw: every one before the failure held
-    if failing == 2:
-        lower = [(i, a[i], True) for i in range(index)]
-        lower.append((index, a[index], False))
-        return 2, index, a[index], ConditionEvidence(False, tuple(lower))
-    lower = tuple([(i, a[i], True) for i in range(len(a) - 1)])
-    evidence = ConditionEvidence(False, lower, failing == 3)
-    if failing == 3:
-        return 3, 0, a[0], evidence
-    return None, None, None, evidence
 
 
 def check_eisenstein(
@@ -194,15 +180,16 @@ def check_eisenstein(
         name, _ = failure
         return EisensteinReport(
             f, P, Verdict.HYPOTHESIS_NOT_ESTABLISHED,
-            failing_condition=None, witness_index=None, witness_value=None,
-            evidence=ConditionEvidence(),
+            failing_condition=None, witness_index=None,
             hypothesis=hypothesis, hypothesis_failure=name,
             hypothesis_bound=hypothesis_bound,
         )
-    failing, w_index, w_value, evidence = evaluate_conditions(f, P)
+    failing, index = first_failing_condition(
+        f.coeffs, P.contains_value, P.square().contains_value
+    )
     verdict = Verdict.SATISFIED if failing is None else Verdict.NOT_APPLICABLE
     return EisensteinReport(
-        f, P, verdict, failing, w_index, w_value, evidence,
+        f, P, verdict, failing, index,
         hypothesis=hypothesis, hypothesis_failure=None,
         hypothesis_bound=hypothesis_bound,
     )

@@ -119,12 +119,11 @@ class Ideal:
 class FiniteSetIdeal(Ideal):
     """An explicit closed subset of a finite carrier."""
 
-    def __init__(self, semiring: SemiringDescriptor, elements, generators=()):
+    def __init__(self, semiring: SemiringDescriptor, elements):
         if semiring.kind is not CarrierKind.FINITE:
             raise SemiringMismatchError("finite-set ideals need a finite carrier")
         super().__init__(semiring)
         self.elements = frozenset(elements)
-        self.generators = tuple(sorted(generators))
 
     def __eq__(self, other):
         return (
@@ -151,8 +150,7 @@ class FiniteSetIdeal(Ideal):
         products = {
             S.mul_values(p, q) for p in self.elements for q in self.elements
         }
-        closed = _close_under_ideal_ops(S, products)
-        return FiniteSetIdeal(S, closed, generators=sorted(products))
+        return FiniteSetIdeal(S, _close_under_ideal_ops(S, products))
 
     def _compute_predicates(self, bound: int) -> IdealPredicateReport:
         S = self.semiring
@@ -360,8 +358,7 @@ def ideal_closure(S: SemiringDescriptor, generators) -> FiniteSetIdeal:
             f"ideal closure needs a finite carrier, got {S.name}"
         )
     gens = [S.element(g).value for g in generators]
-    closed = _close_under_ideal_ops(S, gens)
-    return FiniteSetIdeal(S, closed, generators=gens)
+    return FiniteSetIdeal(S, _close_under_ideal_ops(S, gens))
 
 
 def principal_ideal(S: SemiringDescriptor, p) -> Ideal:

@@ -392,8 +392,18 @@ def _tropical_space(f: Polynomial, pairs, window, coeff_bound) -> _CandidateSpac
     )
 
 
+def _product_divisors(values) -> list[int]:
+    """The divisors of the product of ``values``, built one value at a
+    time: every divisor of a*b is d*e with d | a and e | b.  Trial division
+    of the whole product would run to its square root."""
+    out = {1}
+    for v in values:
+        out = {d * e for d in out for e in _divisors(v)}
+    return sorted(out)
+
+
 def _gcd_space(f: Polynomial, pairs, window, coeff_bound) -> _CandidateSpace:
-    middles = [0] + _divisors(math.prod(v for v in f.coeffs if v > 0))
+    middles = [0] + _product_divisors(v for v in f.coeffs if v > 0)
     return _CandidateSpace(
         _exact_split_pairs(f, middles, lambda t: [(d, t // d) for d in _divisors(t)]),
         "extreme coefficients over divisor pairs of the extreme target "

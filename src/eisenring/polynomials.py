@@ -13,15 +13,18 @@ Expression grammar (whitespace insensitive):
     coeff  := nat-literal | 'inf' | element-name
 
 '+' always denotes the addition of the active semiring, so repeated
-exponents are combined with it.
+exponents are combined with it.  Exponents above MAX_PARSE_DEGREE are
+rejected before any coefficient list is built.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import PolySyntaxError, SemiringMismatchError
+from .errors import DegreeTooLargeError, PolySyntaxError, SemiringMismatchError
 from .semirings import Element, SemiringDescriptor
+
+MAX_PARSE_DEGREE = 100_000
 
 _TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<word>[A-Za-z_][A-Za-z0-9_]*|\d+)|(?P<op>[+*^])")
 
@@ -175,7 +178,12 @@ class Polynomial:
                 kind, text_, at = advance()
                 if kind != "word" or not text_.isdigit():
                     raise PolySyntaxError("expected a natural exponent after '^'", position=at)
-                return int(text_)
+                digits = text_.lstrip("0") or "0"
+                if len(digits) > len(str(MAX_PARSE_DEGREE)) or int(digits) > MAX_PARSE_DEGREE:
+                    raise DegreeTooLargeError(
+                        f"position {at}: exponents above {MAX_PARSE_DEGREE} are not supported"
+                    )
+                return int(digits)
             return 1
 
         def parse_term():

@@ -175,12 +175,6 @@ class SemiringDescriptor:
             return v
         return Element(self, self.check_value(v))
 
-    def elements(self):
-        """All elements, finite carriers only."""
-        if self.kind is not CarrierKind.FINITE:
-            raise BoundRequiredError(f"{self.name} is infinite; use sample_values")
-        return [Element(self, i) for i in range(self.table.order)]
-
     def sample_values(self, bound: int):
         """Raw values with magnitude <= bound (all of them when finite)."""
         if self.kind is CarrierKind.FINITE:
@@ -259,9 +253,6 @@ class SemiringDescriptor:
         if text.isdigit():
             return int(text)
         raise LiteralError(f"{text!r} is not a value of {self.name}")
-
-    def is_zero_value(self, v) -> bool:
-        return v == self.zero_value
 
     def is_unit_value(self, v) -> bool:
         """v divides one, i.e. v has a multiplicative inverse."""

@@ -191,6 +191,24 @@ class TestExitCodes:
         assert doc["complete"] is True
 
 
+    def test_factor_gcd_large_coefficients_completes(self):
+        # the middle candidates are the divisors of a product near 10^18;
+        # they are built from each coefficient's divisors
+        code, out, err = invoke(
+            ["--json", "factor", "--semiring", "gcd-nat", "999983*x^2 + 999979*x + 999961"]
+        )
+        assert (code, err) == (2, "")
+        assert json.loads(out)["complete"] is True
+
+    def test_huge_exponent_one(self):
+        code, out, err = invoke(
+            ["eisenstein", "--semiring", "nat", "--prime", "2", "x^100000000 + 2"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+
 class TestMoreSurfaces:
     def test_prime_flag_on_table_file(self):
         # a principal ideal over a finite carrier is realized as its closure

@@ -1,9 +1,11 @@
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from eisenring import (
+    INFINITY,
     Polynomial,
     Verdict,
     check_corollary,
@@ -21,7 +23,6 @@ from eisenring.eisenstein import (
     OUTCOME_TRACED,
     ROUTE_IDEAL_CERTIFICATE,
     ROUTE_SEMIRING_FLAGS,
-    evaluate_conditions,
     first_failing_condition,
 )
 from eisenring.errors import (
@@ -122,22 +123,24 @@ class TestCheckEisenstein:
             if report.verdict is not Verdict.NOT_APPLICABLE:
                 continue
             k = report.failing_condition
-            ev = report.evidence
+            conditions = report.as_dict()["conditions"]
             if k >= 2:
-                assert ev.leading_in_ideal is False
+                assert conditions["1"]["in_ideal"] is False
             if k == 2:
-                assert all(ok for _, _, ok in ev.lower[:-1])
-                assert not ev.lower[-1][2]
+                memberships = conditions["2"]["memberships"]
+                assert all(m["in_ideal"] for m in memberships[:-1])
+                assert not memberships[-1]["in_ideal"]
             if k == 3:
-                assert all(ok for _, _, ok in ev.lower)
-                assert ev.constant_in_square is True
+                assert all(m["in_ideal"] for m in conditions["2"]["memberships"])
+                assert conditions["3"]["in_ideal_square"] is True
 
 
 class TestConditionPredicate:
-    def test_raw_tuples_agree_with_evaluate_conditions(self):
+    def test_set_membership_agrees_with_contains_value(self):
         # the batch paths of verify_theorem and hunt test raw tuples against
-        # the ideal's element sets; the report path must give the same
-        # first failure for every ideal and every polynomial up to degree 3
+        # the ideal's element sets; check_eisenstein tests them with
+        # contains_value, and both must give the same first failure for
+        # every ideal and every polynomial up to degree 3
         outcomes = set()
         for order in (2, 3):
             for fs in enumerate_semirings(order):
@@ -146,14 +149,143 @@ class TestConditionPredicate:
                 for subset in enumerate_ideals(fs):
                     P = FiniteSetIdeal(S, subset)
                     in_p, in_p_square = P.elements.__contains__, P.square().elements.__contains__
+                    contains, contains_square = P.contains_value, P.square().contains_value
                     for d in range(4):
                         for lower in itertools.product(range(order), repeat=d):
                             for lead in leads:
                                 tup = lower + (lead,)
-                                want = evaluate_conditions(Polynomial(S, tup), P)[:2]
+                                want = first_failing_condition(tup, contains, contains_square)
                                 assert first_failing_condition(tup, in_p, in_p_square) == want
                                 outcomes.add(want[0])
         assert outcomes == {None, 1, 2, 3}
+
+
+@dataclass(frozen=True)
+class ConditionEvidence:
+    """The membership facts a report once stored beside its verdict.
+    ``lower`` lists (index, value, in P) for the coefficients below the
+    degree, in ascending order up to and including the first failure."""
+
+    leading_in_ideal: bool | None = None
+    lower: tuple = ()
+    constant_in_square: bool | None = None
+
+
+def stored_evidence_report(f, P, bound):
+    """``check_eisenstein(f, P, bound).as_dict()`` as it was rendered from
+    a stored ConditionEvidence record, with every membership test made one
+    by one, in order, until the first failure."""
+    fmt = f.semiring.format_value
+    hypothesis = P.predicates(bound)
+    failure = hypothesis.first_failure()
+    failing = index = None
+    ev = ConditionEvidence()
+    if failure is None:
+        a, n = f.coeffs, f.degree
+        if P.contains_value(a[n]):
+            failing, index, ev = 1, n, ConditionEvidence(leading_in_ideal=True)
+        else:
+            lower = []
+            for i in range(n):
+                lower.append((i, a[i], P.contains_value(a[i])))
+                if not lower[-1][2]:
+                    failing, index = 2, i
+                    break
+            in_square = None
+            if failing is None:
+                in_square = P.square().contains_value(a[0])
+                if in_square:
+                    failing, index = 3, 0
+            ev = ConditionEvidence(False, tuple(lower), in_square)
+    conditions = {}
+    if ev.leading_in_ideal is not None:
+        conditions["1"] = {
+            "coefficient_index": f.degree,
+            "value": fmt(f.coeffs[-1]),
+            "in_ideal": ev.leading_in_ideal,
+            "holds": not ev.leading_in_ideal,
+        }
+    if ev.lower:
+        conditions["2"] = {
+            "memberships": [
+                {"index": i, "value": fmt(v), "in_ideal": ok} for i, v, ok in ev.lower
+            ],
+            "holds": all(ok for _, _, ok in ev.lower),
+        }
+    if ev.constant_in_square is not None:
+        conditions["3"] = {
+            "value": fmt(f.coeffs[0]),
+            "in_ideal_square": ev.constant_in_square,
+            "holds": not ev.constant_in_square,
+        }
+    if failure is not None:
+        verdict = Verdict.HYPOTHESIS_NOT_ESTABLISHED
+    else:
+        verdict = Verdict.SATISFIED if failing is None else Verdict.NOT_APPLICABLE
+    return {
+        "polynomial": f.format(),
+        "ideal": P.describe(),
+        "verdict": verdict.value,
+        "failing_condition": failing,
+        "witness_index": index,
+        "witness_value": None if index is None else fmt(f.coeffs[index]),
+        "conditions": conditions,
+        "hypothesis": hypothesis.as_dict(),
+        "hypothesis_failure": None if failure is None else failure[0],
+        "hypothesis_bound": bound,
+        "hypothesis_route": ROUTE_IDEAL_CERTIFICATE,
+    }
+
+
+class TestDerivedEvidence:
+    """The report keeps only the first failing condition and its witness
+    index; the evidence it prints must equal the stored-evidence rendering."""
+
+    def test_finite_every_ideal_up_to_degree_three(self):
+        verdicts = set()
+        for order in (2, 3):
+            for fs in enumerate_semirings(order):
+                S = from_table(fs)
+                leads = [v for v in range(order) if v != fs.zero_index]
+                for subset in enumerate_ideals(fs):
+                    P = FiniteSetIdeal(S, subset)
+                    for d in range(1, 4):
+                        for lower in itertools.product(range(order), repeat=d):
+                            for lead in leads:
+                                f = Polynomial(S, lower + (lead,))
+                                got = check_eisenstein(f, P, BOUND).as_dict()
+                                assert got == stored_evidence_report(f, P, BOUND)
+                                verdicts.add((got["verdict"], got["failing_condition"]))
+        assert {v for v, _ in verdicts} == {v.value for v in Verdict}
+        assert {k for _, k in verdicts} == {None, 1, 2, 3}
+
+    def test_principal_ideals_seeded(self, nat, gcdnat, tropical):
+        rng = random.Random(7)
+        cases = (
+            (nat, (1, 2, 3, 4), lambda p: p * rng.randrange(4), lambda: rng.randrange(20)),
+            (gcdnat, (2, 3, 4), lambda p: p * rng.randrange(4), lambda: rng.randrange(20)),
+            # (1) is {v >= 1} plus inf, and (1)^2 is {v >= 2} plus inf
+            (tropical, (0, 1, 2), lambda p: p + rng.randrange(3),
+             lambda: INFINITY if rng.random() < 0.1 else rng.randrange(4)),
+        )
+        for S, primes, member, anything in cases:
+            ideals = {p: principal_ideal(S, p) for p in primes}
+            verdicts = set()
+            for i in range(240):
+                p = rng.choice(primes)
+                d = 1 + i % 4
+                if i % 2:
+                    coeffs = [member(p) for _ in range(d)] + [rng.choice((S.one_value, anything()))]
+                    coeffs[0] = rng.choice((p, anything()))
+                else:
+                    coeffs = [anything() for _ in range(d)] + [rng.randrange(1, 20)]
+                f = Polynomial(S, coeffs)
+                if f.degree is None or f.degree < 1:
+                    continue
+                got = check_eisenstein(f, ideals[p], BOUND).as_dict()
+                assert got == stored_evidence_report(f, ideals[p], BOUND)
+                verdicts.add(got["verdict"])
+            assert verdicts == {v.value for v in Verdict}, S.name
 
 
 class TestCorollary:

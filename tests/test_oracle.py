@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -177,6 +178,16 @@ class TestFoundInvariant:
         f = g * h
         outcome = search_factorizations(f)
         assert outcome.found and outcome.g * outcome.h == f
+
+    def test_gcd_middles_built_per_coefficient(self):
+        # the divisors of a product, built one factor at a time, are the
+        # divisors found by trial division of the whole product
+        rng = random.Random(11)
+        for _ in range(2000):
+            values = [rng.choice((1, rng.randrange(1, 40), rng.randrange(1, 1000)))
+                      for _ in range(rng.randrange(1, 5))]
+            want = oracle._divisors(math.prod(values))
+            assert oracle._product_divisors(values) == want
 
 
 class TestWindow:
@@ -371,7 +382,7 @@ class TestHunt:
         # against a prime-but-not-subtractive ideal that nonetheless factor;
         # re-check every reported witness end to end
         from eisenring import FiniteSemiring, Polynomial, from_table
-        from eisenring.eisenstein import evaluate_conditions
+        from eisenring.eisenstein import first_failing_condition
         from eisenring.ideals import FiniteSetIdeal
 
         report = hunt_subtractivity(4, 3, budget=2_000_000)
@@ -399,7 +410,9 @@ class TestHunt:
             assert preds.proper.holds and preds.prime.holds
             assert not preds.subtractive.holds
             f = Polynomial.parse(finding.detail["polynomial"], S)
-            failing, _, _, _ = evaluate_conditions(f, ideal)
+            failing, _ = first_failing_condition(
+                f.coeffs, ideal.contains_value, ideal.square().contains_value
+            )
             assert failing is None  # all three conditions hold
             assert S.flags.is_entire
             g = Polynomial.parse(finding.detail["g"], S)

@@ -3,7 +3,13 @@ import random
 import pytest
 
 from eisenring import INFINITY, Polynomial, builtin_semiring
-from eisenring.errors import LiteralError, PolySyntaxError, SemiringMismatchError
+from eisenring.errors import (
+    DegreeTooLargeError,
+    LiteralError,
+    PolySyntaxError,
+    SemiringMismatchError,
+)
+from eisenring.polynomials import MAX_PARSE_DEGREE
 
 BUILTIN_NAMES = ["nat", "bool", "tropical-min", "gcd-nat"]
 
@@ -145,6 +151,12 @@ class TestParsing:
         with pytest.raises(PolySyntaxError) as err:
             Polynomial.parse("x^2 + &", nat)
         assert err.value.position == 6
+
+    def test_degree_cap(self, nat):
+        assert Polynomial.parse(f"x^{MAX_PARSE_DEGREE} + 2", nat).degree == MAX_PARSE_DEGREE
+        for exponent in (MAX_PARSE_DEGREE + 1, 10**8, "9" * 5000):
+            with pytest.raises(DegreeTooLargeError):
+                Polynomial.parse(f"x^{exponent} + 2", nat)
 
     def test_zero_literal(self, nat, tropical):
         assert Polynomial.parse("0", nat).is_zero
