@@ -250,8 +250,13 @@ class SemiringDescriptor:
             if self.kind is CarrierKind.TROPICAL_MIN:
                 return INFINITY
             raise LiteralError(f"'inf' is not a value of {self.name}")
-        if text.isdigit():
-            return int(text)
+        if text.isascii() and text.isdigit():
+            try:
+                return int(text)
+            except ValueError:  # past Python's integer string-conversion limit
+                raise LiteralError(
+                    f"a {len(text)}-digit literal is too long for {self.name}"
+                ) from None
         raise LiteralError(f"{text!r} is not a value of {self.name}")
 
     def is_unit_value(self, v) -> bool:

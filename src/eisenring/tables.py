@@ -6,7 +6,9 @@ index 0 is the additive identity, which must absorb under multiplication,
 and index 1 is the multiplicative identity.  This module parses and
 serializes the table file format, verifies the eight semiring axioms by
 exhaustive scan, enumerates ideals by subset scan, and enumerates all
-small commutative semirings up to isomorphism.
+commutative semirings of order at most 5 up to isomorphism: the addition
+and multiplication monoids are each built once by backtracking over table
+cells, then paired, tested for distributivity and deduplicated.
 
 Table file format (line oriented, whitespace separated, '#' comments):
 
@@ -38,7 +40,7 @@ from .errors import (
 )
 
 DEFAULT_IDEAL_ORDER_CAP = 6
-MAX_ENUMERATION_ORDER = 4
+MAX_ENUMERATION_ORDER = 5
 
 AXIOM_NAMES = (
     "add-commutative",
@@ -427,27 +429,64 @@ def canonical_form(fs: FiniteSemiring):
     return best
 
 
-def _table_associates(table, n) -> bool:
+def _commutative_monoids(n: int, identity: int, absorbing: int | None = None):
+    """Yield every associative symmetric table on {0..n-1} in which
+    ``identity`` is the identity and ``absorbing`` (if given) absorbs.
+
+    The free cells are the upper-triangle cells outside the rows of the
+    fixed elements.  They are filled depth first in row-major order with
+    values in ascending order, so the tables come out in the order
+    ``itertools.product`` would list their free values.  A partial table
+    is dropped as soon as an associativity triple whose four cells are all
+    filled fails; every triple is checked once the last cell is filled.
+    """
+    table = [[0] * n for _ in range(n)]
+    rank = [[-1] * n for _ in range(n)]  # fill step of each cell, -1 if fixed
+    for x in range(n):
+        table[identity][x] = table[x][identity] = x
+        if absorbing is not None:
+            table[absorbing][x] = table[x][absorbing] = absorbing
+    rest = [x for x in range(n) if x not in (identity, absorbing)]
+    free = [(i, j) for i in rest for j in rest if i <= j]
+    for k, (i, j) in enumerate(free):
+        rank[i][j] = rank[j][i] = k
+    # a triple holding a fixed element associates whatever the free cells hold
+    triples = [
+        [(a, b, c) for a in rest for b in rest for c in rest
+         if rank[a][b] <= k and rank[b][c] <= k]
+        for k in range(len(free))
+    ]
     rng = range(n)
-    for a in rng:
-        ta = table[a]
-        for b in rng:
-            tab = table[ta[b]]
-            tb = table[b]
-            for c in rng:
-                if tab[c] != ta[tb[c]]:
-                    return False
-    return True
+
+    def fill(k):
+        if k == len(free):
+            yield tuple(map(tuple, table))
+            return
+        i, j = free[k]
+        row_i, row_j = table[i], table[j]
+        for v in rng:
+            row_i[j] = row_j[i] = v
+            for a, b, c in triples[k]:
+                t, u = table[a][b], table[b][c]
+                if rank[t][c] <= k and rank[a][u] <= k and table[t][c] != table[a][u]:
+                    break
+            else:
+                yield from fill(k + 1)
+
+    return fill(0)
 
 
 def _table_distributes(mul, add, n) -> bool:
-    rng = range(n)
-    for a in rng:
+    """a(b + c) = ab + ac for a commutative addition with identity 0 and a
+    commutative multiplication with identity 1 and absorbing 0.  Those
+    identities settle every triple with a < 2 or 0 in {b, c}, and
+    commutativity of addition settles (c, b) with (b, c)."""
+    for a in range(2, n):
         ma = mul[a]
-        for b in rng:
-            mab = ma[b]
-            for c in rng:
-                if ma[add[b][c]] != add[mab][ma[c]]:
+        for b in range(1, n):
+            mab, add_b = ma[b], add[b]
+            for c in range(b, n):
+                if ma[add_b[c]] != add[mab][ma[c]]:
                     return False
     return True
 
@@ -457,11 +496,18 @@ def enumerate_semirings(order: int, budget: int | None = None):
     and one at index 1, deduplicated up to isomorphism, in a deterministic
     order.
 
-    Free cells are only the upper triangles not fixed by the identity and
-    absorption axioms; identities are unique, so pinning them to indices
-    0 and 1 loses no structures.  ``budget`` caps the number of candidate
-    table pairs examined; exceeding it raises BudgetExceededError, and
-    everything yielded before that is a valid partial stream.
+    Identities are unique, so pinning them to indices 0 and 1 loses no
+    structures.  The commutative monoids are built once each by
+    backtracking: the additive ones with identity 0, the multiplicative
+    ones with identity 1 and absorbing 0.  Every (addition, multiplication)
+    pair is then tested for distributivity, and the first table of each
+    isomorphism class is kept.  Pairs are visited in the lexicographic
+    order of their free cells, addition first.
+
+    ``budget`` caps the number of (associative addition, associative
+    multiplication) pairs examined; exceeding it raises
+    BudgetExceededError, and everything yielded before that is a prefix of
+    the full stream.
     """
     if order < 2:
         raise OrderTooSmallError(f"order must be at least 2, got {order}")
@@ -471,39 +517,17 @@ def enumerate_semirings(order: int, budget: int | None = None):
         )
     n = order
     names = tuple(str(i) for i in range(n))
-    rng = range(n)
-    add_free = [(i, j) for i in range(1, n) for j in range(i, n)]
-    mul_free = [(i, j) for i in range(2, n) for j in range(i, n)]
+    muls = list(_commutative_monoids(n, identity=1, absorbing=0))
     seen = set()
     nodes = 0
 
-    for add_vals in itertools.product(rng, repeat=len(add_free)):
-        add = [[0] * n for _ in range(n)]
-        for j in rng:
-            add[0][j] = j
-            add[j][0] = j
-        for (i, j), v in zip(add_free, add_vals):
-            add[i][j] = v
-            add[j][i] = v
-        add = tuple(tuple(row) for row in add)
-        if not _table_associates(add, n):
-            continue
-        for mul_vals in itertools.product(rng, repeat=len(mul_free)):
+    for add in _commutative_monoids(n, identity=0):
+        for mul in muls:
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceededError(
                     f"semiring enumeration budget {budget} exhausted at order {order}"
                 )
-            mul = [[0] * n for _ in range(n)]
-            for j in rng:
-                mul[1][j] = j
-                mul[j][1] = j
-            for (i, j), v in zip(mul_free, mul_vals):
-                mul[i][j] = v
-                mul[j][i] = v
-            mul = tuple(tuple(row) for row in mul)
-            if not _table_associates(mul, n):
-                continue
             if not _table_distributes(mul, add, n):
                 continue
             fs = FiniteSemiring(n, names, add, mul)

@@ -208,6 +208,18 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "prime, poly",
+        [("2", "1" * 5000 + "*x + 2"), ("1" * 5000, "x + 2"), ("²", "x + 2")],
+        ids=["long-coefficient", "long-prime", "superscript-prime"],
+    )
+    def test_unparsable_literal_one(self, prime, poly):
+        # past Python's 4,300-digit conversion limit, and a non-ASCII digit
+        code, out, err = invoke(["eisenstein", "--semiring", "nat", "--prime", prime, poly])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestMoreSurfaces:
     def test_prime_flag_on_table_file(self):

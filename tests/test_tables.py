@@ -21,7 +21,7 @@ from eisenring.errors import (
     TableShapeError,
     TableSyntaxError,
 )
-from eisenring.tables import FiniteSemiring
+from eisenring.tables import FiniteSemiring, _commutative_monoids
 
 N3_TEXT = """\
 # saturating semiring
@@ -47,6 +47,54 @@ def mutate(fs: FiniteSemiring, which: str, i: int, j: int, v: int) -> FiniteSemi
     if which == "add":
         return FiniteSemiring(fs.order, fs.element_names, table, fs.mul_table)
     return FiniteSemiring(fs.order, fs.element_names, fs.add_table, table)
+
+
+def _associates(table, n) -> bool:
+    rng = range(n)
+    return all(table[table[a][b]][c] == table[a][table[b][c]] for a in rng for b in rng for c in rng)
+
+
+def _distributes(mul, add, n) -> bool:
+    rng = range(n)
+    return all(
+        mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]] for a in rng for b in rng for c in rng
+    )
+
+
+def product_tables(n: int, identity: int, absorbing=None):
+    """Every symmetric table with the given identity (and absorbing element),
+    free upper-triangle cells listed by itertools.product in row-major order."""
+    rest = [x for x in range(n) if x not in (identity, absorbing)]
+    free = [(i, j) for i in rest for j in rest if i <= j]
+    for vals in itertools.product(range(n), repeat=len(free)):
+        table = [[0] * n for _ in range(n)]
+        for x in range(n):
+            table[identity][x] = table[x][identity] = x
+            if absorbing is not None:
+                table[absorbing][x] = table[x][absorbing] = absorbing
+        for (i, j), v in zip(free, vals):
+            table[i][j] = table[j][i] = v
+        yield tuple(tuple(row) for row in table)
+
+
+def product_loop_reference(order: int):
+    """Reference for enumerate_semirings: every pair of candidate tables
+    from itertools.product, then associativity, distributivity and the
+    canonical-form dedupe, each checked on whole tables."""
+    n = order
+    names = tuple(str(i) for i in range(n))
+    seen = set()
+    for add in product_tables(n, identity=0):
+        if not _associates(add, n):
+            continue
+        for mul in product_tables(n, identity=1, absorbing=0):
+            if not (_associates(mul, n) and _distributes(mul, add, n)):
+                continue
+            fs = FiniteSemiring(n, names, add, mul)
+            key = canonical_form(fs)
+            if key not in seen:
+                seen.add(key)
+                yield fs
 
 
 class TestParsing:
@@ -177,31 +225,57 @@ class TestEnumeration:
             for fs in enumerate_semirings(order):
                 assert check_axioms(fs).all_pass
 
-    def test_order_five_rejected(self):
+    def test_order_six_rejected(self):
         with pytest.raises(OrderTooLargeError):
-            list(enumerate_semirings(5))
+            list(enumerate_semirings(6))
 
     def test_order_one_rejected(self):
         with pytest.raises(ValueError):
             list(enumerate_semirings(1))
 
     def test_budget(self):
+        # order 3 has 9 associative addition tables and 3 multiplication ones
         with pytest.raises(BudgetExceededError):
             list(enumerate_semirings(3, budget=5))
-        # everything yielded before exhaustion is still valid
-        collected = []
-        gen = enumerate_semirings(3, budget=40)
-        try:
-            for fs in gen:
-                collected.append(fs)
-        except BudgetExceededError:
-            pass
+        full = list(enumerate_semirings(3))
+        assert list(enumerate_semirings(3, budget=27)) == full
+        for budget in range(27):
+            collected = []
+            with pytest.raises(BudgetExceededError):
+                for fs in enumerate_semirings(3, budget=budget):
+                    collected.append(fs)
+            # everything yielded before exhaustion is a prefix of the stream
+            assert collected == full[: len(collected)]
         assert all(check_axioms(fs).all_pass for fs in collected)
 
     def test_deterministic(self):
         first = [fs.digest() for fs in enumerate_semirings(3)]
         second = [fs.digest() for fs in enumerate_semirings(3)]
         assert first == second
+
+
+class TestBacktracking:
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_same_stream_as_product_loop(self, order):
+        got = list(enumerate_semirings(order))
+        want = list(product_loop_reference(order))
+        assert got == want
+        assert [fs.digest() for fs in got] == [fs.digest() for fs in want]
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("identity, absorbing", [(0, None), (1, 0)])
+    def test_monoids_are_associative_product_subset(self, order, identity, absorbing):
+        want = [
+            t for t in product_tables(order, identity, absorbing) if _associates(t, order)
+        ]
+        assert list(_commutative_monoids(order, identity, absorbing)) == want
+
+    def test_order_five(self):
+        found = list(enumerate_semirings(5))
+        assert len(found) == 228
+        assert all(check_axioms(fs).all_pass for fs in found)
+        forms = {canonical_form(fs) for fs in found}
+        assert len(forms) == len(found)
 
 
 class TestStructuralValidation:
