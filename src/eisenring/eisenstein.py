@@ -23,7 +23,9 @@ printed evidence from them and the coefficients.
 The trace engine replays the underlying argument on a concrete candidate
 factorization g*h.  After normalizing roles so the b-factor has its
 constant term outside P, it finds the least m with c_m outside P and
-splits the product coefficient a_m into its convolution terms.  Every
+splits the product coefficient a_m into its convolution terms.  The role
+rule lives in one raw-tuple helper, ``trace_roles``, which the hunt's
+near-miss scan also calls to skip pairs whose a_m lies outside P.  Every
 term except b_0*c_m lies in P; when P is subtractive and prime that
 forces a_m outside P, and when P is not subtractive the trace shows
 exactly where the sum absorbed the non-member term.
@@ -156,6 +158,30 @@ def first_failing_condition(coeffs, in_p, in_p_square):
     return None, None
 
 
+def trace_roles(g, h, in_p, add, mul):
+    """The proof trace's role rule on raw coefficient tuples (constant
+    first): ``(b_is_g, m, a_m)``.  b is the factor whose constant term
+    lies outside P, and g wins when both do; m is the first index of c
+    outside P; a_m is coefficient m of b*c, folded from b_0*c_m up with
+    the carrier's ``add`` and ``mul``.  None when both constant terms lie
+    in P, and m and a_m are None when c lies wholly in P.
+
+    This is the one implementation of the roles: ``proof_trace`` calls it
+    on a polynomial pair, and the near-miss scan of ``hunt_subtractivity``
+    calls it on raw tuples, tracing only a pair whose a_m lies in P."""
+    b_is_g = not in_p(g[0])
+    if not b_is_g and in_p(h[0]):
+        return None
+    b, c = (g, h) if b_is_g else (h, g)
+    m = next((k for k, v in enumerate(c) if not in_p(v)), None)
+    if m is None:
+        return b_is_g, None, None
+    a_m = mul(b[0], c[m])
+    for i in range(1, min(m, len(b) - 1) + 1):
+        a_m = add(a_m, mul(b[i], c[m - i]))
+    return b_is_g, m, a_m
+
+
 def check_eisenstein(
     f: Polynomial, P: Ideal, hypothesis_bound: int = DEFAULT_HYPOTHESIS_BOUND
 ) -> EisensteinReport:
@@ -286,10 +312,12 @@ def proof_trace(
     """Replay the contradiction argument on the candidate product g*h.
 
     P must be certified proper and prime; subtractivity may fail, which is
-    the instructive case.  Roles are normalized so the b-factor has its
-    constant term outside P (g wins the role when both do).  If both
-    constant terms lie in P the roles are unassignable and the report
-    instead exhibits a_0 = b_0*c_0 inside P^2, the condition-(3) clash.
+    the instructive case.  Roles, m and a_m come from ``trace_roles``:
+    the b-factor has its constant term outside P (g wins the role when
+    both do), and a_m is folded from the terms b_i*c_(m-i) the report
+    lists.  If both constant terms lie in P the roles are unassignable and
+    the report instead exhibits a_0 = b_0*c_0 inside P^2, the
+    condition-(3) clash.
     """
     S = g.semiring
     if h.semiring != S or P.semiring != S:
@@ -307,9 +335,8 @@ def proof_trace(
     fmt = S.format_value
     product = g * h
 
-    g0_in = P.contains_value(g.constant_value())
-    h0_in = P.contains_value(h.constant_value())
-    if g0_in and h0_in:
+    roles = trace_roles(g.coeffs, h.coeffs, P.contains_value, *S.value_ops())
+    if roles is None:
         a0 = product.coeff_value(0)
         return TraceReport(
             outcome=OUTCOME_CONSTANT_TERMS_IN_IDEAL,
@@ -324,11 +351,8 @@ def proof_trace(
             constant_product_in_square=P.square().contains_value(a0),
         )
 
-    b, c = (g, h) if not g0_in else (h, g)
-    m = next(
-        (k for k in range(c.degree + 1) if not P.contains_value(c.coeff_value(k))),
-        None,
-    )
+    b_is_g, m, a_m = roles
+    b, c = (g, h) if b_is_g else (h, g)
     if m is None:
         raise NoMinimalIndexError(
             "the factor playing c has every coefficient in the ideal; "
@@ -343,7 +367,6 @@ def proof_trace(
         if not in_ideal:
             nonmembers.append(len(terms))
         terms.append(TraceTerm(i, j, fmt(value), in_ideal))
-    a_m = product.coeff_value(m)
     return TraceReport(
         outcome=OUTCOME_TRACED,
         ideal=P.describe(),

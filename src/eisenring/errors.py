@@ -41,6 +41,10 @@ class WindowOutOfRangeError(EisenringError, ValueError):
     """A factor-degree window is negative or above its cap."""
 
 
+class CoefficientBoundError(EisenringError, ValueError):
+    """A factor search was given a negative coefficient bound."""
+
+
 class BudgetExceededError(EisenringError):
     """An enumeration ran out of its node budget; results so far are partial."""
 

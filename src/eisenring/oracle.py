@@ -19,8 +19,10 @@ one node and a rejected prefix costs the product of the remaining list
 lengths, the number of full h candidates beneath it, so the first
 witness, ``nodes``, ``complete`` and the budget cut-off are exactly
 those of trying every full h tuple in turn.  Candidates are compared as
-raw coefficient tuples; only the accepted pair becomes Polynomial
-objects.  Only the candidate rules differ:
+raw coefficient tuples with the carrier's addition and multiplication,
+taken once per search from ``SemiringDescriptor.value_ops`` rather than
+dispatched on the carrier kind per operation; only the accepted pair
+becomes Polynomial objects.  Only the candidate rules differ:
 
   finite tables   every element, nonzero leading coefficient, for g and
                   h alike; complete within the window.
@@ -50,7 +52,10 @@ against the ideal's element sets and build a Polynomial only for a tuple
 that meets all three.  ``hunt_subtractivity`` streams enumerated
 semirings looking for prime-but-not-subtractive ideals, for genuine
 counterexamples to the criterion-without-subtractivity, and for
-proof-trace near misses where a_m lands in the ideal.
+proof-trace near misses where a_m lands in the ideal.  The near-miss
+scan applies the trace's role rule, ``trace_roles``, to raw factor
+tuples and builds Polynomials and a full ``proof_trace`` only for a pair
+whose a_m lies in the ideal.
 """
 
 from __future__ import annotations
@@ -63,13 +68,14 @@ from typing import Callable, NamedTuple
 
 from .errors import (
     BudgetExceededError,
+    CoefficientBoundError,
     DegreeTooLargeError,
     DegreeTooSmallError,
     OrderTooLargeError,
     OrderTooSmallError,
     WindowOutOfRangeError,
 )
-from .eisenstein import first_failing_condition, proof_trace
+from .eisenstein import first_failing_condition, proof_trace, trace_roles
 from .ideals import FiniteSetIdeal
 from .polynomials import Polynomial
 from .semirings import INFINITY, CarrierKind, SemiringDescriptor, from_table
@@ -140,13 +146,18 @@ def search_factorizations(
     """First factorization of f into two non-constant polynomials in a
     deterministic lexicographic order, else NoneWithinBounds.
 
-    ``window`` must lie in 0..MAX_DEGREE_WINDOW.  ``coeff_bound``
-    overrides the carrier's derived coefficient cap; a cap below the
-    derived one demotes the outcome to complete=False.
+    ``window`` must lie in 0..MAX_DEGREE_WINDOW.  ``coeff_bound``, when
+    given, must be at least 0; it overrides the carrier's derived
+    coefficient cap, and a cap below the derived one demotes the outcome
+    to complete=False.
     ``node_budget`` limits candidates examined; running out returns a
     partial outcome instead of raising.
     """
     _check_window(window)
+    if coeff_bound is not None and coeff_bound < 0:
+        raise CoefficientBoundError(
+            f"the coefficient bound must be at least 0, got {coeff_bound}"
+        )
     S = f.semiring
     n = f.degree
     if n is None or n < 1:
@@ -190,16 +201,17 @@ def _first_factorization(f: Polynomial, pairs, pair_space, limit):
     full h candidates beneath it.  Coefficients s+1..r+s are compared at
     the leaf.  Candidate order, nodes and the budget cut-off are those of
     trying every full h tuple in turn; only the accepted pair becomes
-    Polynomial objects."""
+    Polynomial objects.
+
+    The carrier's operations are taken once per search.  The padded target
+    and the leaf table of a degree pair are built when its first g
+    reaches the h walk, so a pair without such a g costs nothing."""
     S = f.semiring
+    add, mul = S.value_ops()
     nodes = 0
     for r, s in pairs:
         g_tuples, h_lists = pair_space(r, s)
-        target = f.coeffs + (S.zero_value,) * (r + s - f.degree)
-        top = [
-            (target[k], [(i, k - i) for i in range(k - s, r + 1)])
-            for k in range(s + 1, r + s + 1)
-        ]
+        top = None
         for g in g_tuples:
             lists = h_lists(g)
             if lists is None:
@@ -207,7 +219,13 @@ def _first_factorization(f: Polynomial, pairs, pair_space, limit):
                 if nodes > limit:
                     return None, nodes
                 continue
-            h, nodes = _first_cofactor(S, g, lists, target, top, nodes, limit)
+            if top is None:
+                target = f.coeffs + (S.zero_value,) * (r + s - f.degree)
+                top = [
+                    (target[k], [(i, k - i) for i in range(k - s, r + 1)])
+                    for k in range(s + 1, r + s + 1)
+                ]
+            h, nodes = _first_cofactor(add, mul, g, lists, target, top, nodes, limit)
             if h is not None:
                 return (Polynomial(S, g), Polynomial(S, h)), nodes
             if nodes > limit:
@@ -215,15 +233,15 @@ def _first_factorization(f: Polynomial, pairs, pair_space, limit):
     return None, nodes
 
 
-def _first_cofactor(S, g, lists, target, top, nodes, limit):
+def _first_cofactor(add, mul, g, lists, target, top, nodes, limit):
     """Depth-first walk of h over ``lists`` for one g: the first h with
     g*h equal to ``target``, or None, and the running node count (``limit
-    + 1`` once the budget runs out).  At position j the terms of
-    coefficient j that use h_0..h_(j-1) are folded once per prefix and
-    g_0*h_j is added per candidate; the carrier's addition is associative
-    and commutative, so this gives the value Polynomial.__mul__ does.
-    Leaf coefficients fold from the lowest g index up."""
-    add, mul = S.add_values, S.mul_values
+    + 1`` once the budget runs out).  ``add`` and ``mul`` are the
+    carrier's ``value_ops()``.  At position j the terms of coefficient j
+    that use h_0..h_(j-1) are folded once per prefix and g_0*h_j is added
+    per candidate; the carrier's addition is associative and commutative,
+    so this gives the value Polynomial.__mul__ does.  Leaf coefficients
+    fold from the lowest g index up."""
     r, s = len(g) - 1, len(lists) - 1
     below = [1] * (s + 1)  # full h candidates beneath one prefix h_0..h_j
     for j in range(s, 0, -1):
@@ -311,17 +329,34 @@ def _nat_space(f: Polynomial, pairs, window, coeff_bound) -> _CandidateSpace:
     )
 
 
-def _lazy_product(head, *rest):
-    """``itertools.product(head, *rest)`` in the same order without copying
-    its inputs into tuples first, which a huge nat ``range`` of middles
-    cannot survive."""
-    if not rest:
-        for v in head:
-            yield (v,)
+_EXHAUSTED = object()  # a position's iterator ran out
+
+
+def _lazy_product(*seqs):
+    """``itertools.product(*seqs)`` in the same order without copying its
+    inputs into tuples first, which a huge nat ``range`` of middles cannot
+    survive.  An odometer of one iterator per position: the last position
+    turns fastest, and a position that runs out restarts from its first
+    value and advances the one before it.  Each output tuple is built
+    once."""
+    walks = [iter(seq) for seq in seqs]
+    try:
+        current = [next(walk) for walk in walks]
+    except StopIteration:
         return
-    for v in head:
-        for tail in _lazy_product(*rest):
-            yield (v, *tail)
+    while True:
+        yield tuple(current)
+        i = len(seqs) - 1
+        while True:
+            if i < 0:
+                return
+            v = next(walks[i], _EXHAUSTED)
+            if v is not _EXHAUSTED:
+                current[i] = v
+                break
+            walks[i] = iter(seqs[i])
+            current[i] = next(walks[i])
+            i -= 1
 
 
 def _nat_cofactor(a, n, r, b):
@@ -680,25 +715,26 @@ def _hunt_counterexamples(S, ideal, max_degree, spend, findings, base):
 
 
 def _hunt_near_misses(S, ideal, max_degree, spend, findings, base):
+    """Record proof traces of degree <= 2 factor pairs whose a_m lies in
+    the ideal.  The trace's role rule runs on raw tuples first; only a
+    pair with roles, an m and a_m in the ideal is traced."""
     recorded = 0
-    members = ideal.elements
+    in_p = ideal.elements.__contains__
+    add, mul = S.value_ops()
     top = min(2, max_degree)
     for dg in range(1, top + 1):
         for dh in range(1, top + 1):
             for g_tup in itertools.product(*_finite_positions(S, dg)):
                 for h_tup in itertools.product(*_finite_positions(S, dh)):
                     spend()
-                    # the trace's own role rules, on raw tuples: both
-                    # constants in P leave no roles; a c wholly in P has no m
-                    g0_in = g_tup[0] in members
-                    if g0_in and h_tup[0] in members:
+                    roles = trace_roles(g_tup, h_tup, in_p, add, mul)
+                    if roles is None:
                         continue
-                    if all(v in members for v in (g_tup if g0_in else h_tup)):
+                    _, m, a_m = roles
+                    if m is None or not in_p(a_m):
                         continue
                     g, h = Polynomial(S, g_tup), Polynomial(S, h_tup)
                     trace = proof_trace(g, h, ideal)
-                    if not trace.a_m_in_ideal:
-                        continue
                     findings.append(
                         Finding(
                             **{**base, "kind": KIND_TRACE_NEAR_MISS},

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -203,6 +204,21 @@ class SemiringDescriptor:
         if k is CarrierKind.FINITE:
             return self.table.mul_table[x][y]
         return x + y  # tropical multiplication; inf is absorbing
+
+    def value_ops(self):
+        """``(add, mul)`` as plain two-argument callables on raw values,
+        equal to ``add_values`` and ``mul_values`` on every pair.  A hot
+        loop takes them once instead of dispatching on the carrier kind
+        per operation."""
+        k = self.kind
+        if k is CarrierKind.FINITE:
+            add_rows, mul_rows = self.table.add_table, self.table.mul_table
+            return (lambda x, y: add_rows[x][y]), (lambda x, y: mul_rows[x][y])
+        if k is CarrierKind.NATURALS:
+            return operator.add, operator.mul
+        if k is CarrierKind.GCD_NATURALS:
+            return math.gcd, operator.mul
+        return min, operator.add  # tropical-min; inf is absorbing under +
 
     def add(self, a, b) -> Element:
         a, b = self.element(a), self.element(b)

@@ -169,6 +169,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_negative_coeff_bound_one(self):
+        # a negative bound searched nothing and reported (x + 1)^2 unfactored
+        code, out, err = invoke(
+            ["factor", "--semiring", "nat", "--coeff-bound", "-1", "x^2+2*x+1"]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        code, out, _ = invoke(
+            ["--json", "factor", "--semiring", "nat", "--coeff-bound", "0", "x^2+2*x+1"]
+        )
+        assert code == 2
+        assert json.loads(out)["complete"] is False
+
     def test_memory_error_one(self, monkeypatch):
         def exhausted(args):
             raise MemoryError

@@ -19,17 +19,20 @@ from eisenring import (
     verify_theorem,
 )
 from eisenring.errors import (
+    CoefficientBoundError,
     DegreeTooLargeError,
     DegreeTooSmallError,
     OrderTooLargeError,
     WindowOutOfRangeError,
 )
-from eisenring import oracle
+from eisenring import oracle, proof_trace
 from eisenring.oracle import (
     KIND_CRITERION_COUNTEREXAMPLE,
     KIND_NON_SUBTRACTIVE_PRIME,
     KIND_TRACE_NEAR_MISS,
     MAX_DEGREE_WINDOW,
+    NEAR_MISS_CAP,
+    Finding,
 )
 
 Z4_DIGEST = "7e43d690036d"  # the integers mod 4 among the order-4 semirings
@@ -114,6 +117,45 @@ def polynomial_product_driver(f, pairs, pair_space, limit):
                 if g * h == f:
                     return (g, h), nodes
     return None, nodes
+
+
+def trace_every_pair_near_misses(S, ideal, max_degree, spend, findings, base):
+    """Reference for ``oracle._hunt_near_misses``: the same pairs, order,
+    spending and cap, but every pair with roles and an m is traced in full
+    and kept when the report's a_m lies in the ideal."""
+    recorded = 0
+    members = ideal.elements
+    top = min(2, max_degree)
+    for dg in range(1, top + 1):
+        for dh in range(1, top + 1):
+            for g_tup in itertools.product(*oracle._finite_positions(S, dg)):
+                for h_tup in itertools.product(*oracle._finite_positions(S, dh)):
+                    spend()
+                    # both constants in P leave no roles; a c wholly in P has no m
+                    g0_in = g_tup[0] in members
+                    if g0_in and h_tup[0] in members:
+                        continue
+                    if all(v in members for v in (g_tup if g0_in else h_tup)):
+                        continue
+                    g, h = Polynomial(S, g_tup), Polynomial(S, h_tup)
+                    trace = proof_trace(g, h, ideal)
+                    if not trace.a_m_in_ideal:
+                        continue
+                    findings.append(
+                        Finding(
+                            **{**base, "kind": KIND_TRACE_NEAR_MISS},
+                            detail={
+                                "g": g.format(),
+                                "h": h.format(),
+                                "m": trace.m,
+                                "a_m": trace.a_m,
+                                "nonmember_terms": list(trace.nonmember_terms),
+                            },
+                        )
+                    )
+                    recorded += 1
+                    if recorded >= NEAR_MISS_CAP:
+                        return
 
 
 class TestSearchExamples:
@@ -284,6 +326,28 @@ class TestCompleteness:
         assert not outcome.found and not outcome.complete
         assert outcome.nodes == 1001
 
+    def test_empty_degree_pairs_cost_nothing(self, nat):
+        # with coefficients capped at 0 no g exists for any of the 800
+        # degree pairs, so none of them may build its leaf table
+        f = Polynomial.parse("x^1600 + 1", nat)
+        outcome = search_factorizations(f, coeff_bound=0)
+        assert not outcome.found
+        assert outcome.nodes == 0
+        assert outcome.complete is False
+
+    def test_negative_coeff_bound_rejected(self, nat):
+        f = Polynomial.parse("x^2 + 2*x + 1", nat)
+        with pytest.raises(CoefficientBoundError):
+            search_factorizations(f, coeff_bound=-1)
+
+    @pytest.mark.parametrize("seqs", [
+        (), ([],), ([1],), ([1, 2, 3],), ([1, 2], []), ([], [1, 2]), ([0], [5], [7]),
+        ([1, 2], [3], [4, 5, 6]), (range(3), [9], range(2), [], [1]),
+        (range(2), range(3), range(2), [8, 9]),
+    ])
+    def test_lazy_product_matches_itertools(self, seqs):
+        assert list(oracle._lazy_product(*seqs)) == list(itertools.product(*seqs))
+
     def test_node_budget_partial(self, boolean):
         f = Polynomial.parse("x^2 + x + 1", boolean)
         outcome = search_factorizations(f, node_budget=0)
@@ -376,6 +440,15 @@ class TestHunt:
         report = hunt_subtractivity(3, 3, budget=0)
         assert report.findings == ()
         assert report.partial
+
+    @pytest.mark.parametrize("args", [
+        (3, 3, None), (4, 3, None),
+        *((3, 2, k) for k in (0, 1, 5, 17, 50, 200, 1000)),
+    ])
+    def test_near_miss_filter_matches_reference(self, args, monkeypatch):
+        fast = hunt_subtractivity(*args).as_dict()
+        monkeypatch.setattr(oracle, "_hunt_near_misses", trace_every_pair_near_misses)
+        assert fast == hunt_subtractivity(*args).as_dict()
 
     def test_order_four_counterexamples_reverify(self):
         # at order 4 the hunt finds polynomials meeting all three conditions

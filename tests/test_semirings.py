@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -86,6 +87,28 @@ class TestArithmetic:
         assert tropical.element(INFINITY).value == INFINITY
         with pytest.raises(LiteralError):
             boolean.element(2)
+
+    def test_value_ops_agree_with_dispatch(self):
+        # every pair of every order-2..4 table, and seeded infinite-carrier
+        # values with the identities, inf and a value past 64 bits
+        rng = random.Random(17)
+        cases = []
+        for order in (2, 3, 4):
+            for fs in enumerate_semirings(order):
+                S = from_table(fs)
+                cases.append((S, list(itertools.product(range(order), repeat=2))))
+        for name in ("nat", "gcd-nat", "tropical-min"):
+            S = builtin_semiring(name)
+            pool = [0, 1, 2**70 + 3] + [rng.randrange(0, 1000) for _ in range(30)]
+            if name == "tropical-min":
+                pool.append(INFINITY)
+            cases.append((S, list(itertools.product(pool, repeat=2))))
+        for S, pairs in cases:
+            add, mul = S.value_ops()
+            for x, y in pairs:
+                got = add(x, y), mul(x, y)
+                want = S.add_values(x, y), S.mul_values(x, y)
+                assert [(type(v), v) for v in got] == [(type(v), v) for v in want], (S.name, x, y)
 
 
 class TestLaws:
