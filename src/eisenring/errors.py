@@ -42,7 +42,8 @@ class WindowOutOfRangeError(EisenringError, ValueError):
 
 
 class CoefficientBoundError(EisenringError, ValueError):
-    """A factor search was given a negative coefficient bound."""
+    """A factor search was given a negative coefficient bound, or one on a
+    carrier whose candidates it does not cap (finite tables, gcd-nat)."""
 
 
 class BudgetExceededError(EisenringError):

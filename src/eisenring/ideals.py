@@ -1,8 +1,9 @@
 """Membership-decidable ideals and the predicates the criterion needs.
 
 Two representations are supported.  Finite-set ideals live over finite
-carriers and are stored as closed index sets (the least fixpoint of the
-generators under addition and scaling).  Principal ideals (p) live over
+carriers and are stored as closed index sets: a principal ideal is the
+set of multiples {s*p}, any other the least fixpoint of its generators
+under addition and scaling.  Principal ideals (p) live over
 the infinite built-ins, where membership is the divisibility test p | a.
 
 Predicate verdicts are Certificates.  ``exact=True`` means the verdict is
@@ -32,7 +33,7 @@ from .semirings import (
     _is_prime_int,
     _smallest_factor_pair,
 )
-from .tables import prime_violation, subtractive_violation
+from .tables import multiples, prime_violation, subtractive_violation
 
 
 @dataclass(frozen=True)
@@ -362,11 +363,11 @@ def ideal_closure(S: SemiringDescriptor, generators) -> FiniteSetIdeal:
 
 
 def principal_ideal(S: SemiringDescriptor, p) -> Ideal:
-    """(p); over a finite carrier the explicit closure form is built, since
-    {s*p} is already addition-closed by distributivity."""
+    """(p); over a finite carrier the explicit set {s*p} is built, which is
+    already addition-closed by distributivity."""
     el = S.element(p)
     if S.kind is CarrierKind.FINITE:
-        return ideal_closure(S, [el])
+        return FiniteSetIdeal(S, multiples(S.table, el.value))
     if not S.flags.decidable_divisibility:
         raise UndecidableDivisibilityError(S.name)
     return PrincipalIdeal(S, el)

@@ -147,9 +147,11 @@ def search_factorizations(
     deterministic lexicographic order, else NoneWithinBounds.
 
     ``window`` must lie in 0..MAX_DEGREE_WINDOW.  ``coeff_bound``, when
-    given, must be at least 0; it overrides the carrier's derived
-    coefficient cap, and a cap below the derived one demotes the outcome
-    to complete=False.
+    given, must be at least 0; it overrides the derived coefficient cap
+    of nat and tropical-min, and a cap below the derived one demotes the
+    outcome to complete=False.  Finite tables and gcd-nat have no such
+    cap, so a bound there raises CoefficientBoundError rather than being
+    ignored.
     ``node_budget`` limits candidates examined; running out returns a
     partial outcome instead of raising.
     """
@@ -159,6 +161,10 @@ def search_factorizations(
             f"the coefficient bound must be at least 0, got {coeff_bound}"
         )
     S = f.semiring
+    if coeff_bound is not None and S.kind not in _CAPPED_KINDS:
+        raise CoefficientBoundError(
+            f"a coefficient bound applies to nat and tropical-min, not to {S.name}"
+        )
     n = f.degree
     if n is None or n < 1:
         raise DegreeTooSmallError("factor search needs a non-constant polynomial")
@@ -449,6 +455,8 @@ def _gcd_space(f: Polynomial, pairs, window, coeff_bound) -> _CandidateSpace:
         "factors have unbounded middles, so this is a semi-decision",
     )
 
+
+_CAPPED_KINDS = (CarrierKind.NATURALS, CarrierKind.TROPICAL_MIN)  # honour coeff_bound
 
 _CANDIDATE_SPACES = {
     CarrierKind.FINITE: _finite_space,

@@ -70,9 +70,6 @@ class Polynomial:
         """Raw coefficient of x^k (the semiring zero beyond the degree)."""
         return self.coeffs[k] if k < len(self.coeffs) else self.semiring.zero_value
 
-    def constant_value(self):
-        return self.coeff_value(0)
-
     # -- equality -------------------------------------------------------------
 
     def __eq__(self, other):

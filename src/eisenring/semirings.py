@@ -9,10 +9,12 @@ and 0 absorbing under multiplication.  Four built-ins are registered:
     tropical-min (N u {inf}, min, +, zero=inf, one=0)
     gcd-nat      (N, gcd, *, zero=0, one=1)  the ideal semiring of Z
 
-Finite carriers get every capability flag computed from their tables.
-Infinite built-ins carry declared flags, each with a written
-justification in ``flag_notes``.  Naturals are Python ints, so there is
-no overflow anywhere; the tropical infinity is ``math.inf``.
+Finite carriers get every capability flag computed from their tables,
+with one scan per fact from ``tables``.  Infinite built-ins carry
+declared flags, each with a written justification in ``flag_notes``, and
+their elements are classified by closed forms, so no verdict here depends
+on a search bound.  Naturals are Python ints, so there is no overflow
+anywhere; the tropical infinity is ``math.inf``.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
-    BoundRequiredError,
-    OrderTooLargeError,
     SemiringMismatchError,
     AxiomCheckFailedError,
     LiteralError,
@@ -34,15 +34,17 @@ from .errors import (
 )
 from .tables import (
     FiniteSemiring,
+    cancellation_violation,
     check_axioms,
     enumerate_ideals,
+    factor_pair,
+    multiples,
     prime_violation,
     subtractive_violation,
+    units,
 )
 
 INFINITY = math.inf
-
-FLAG_COMPUTATION_ORDER_CAP = 10  # 2^n subset scans back the ideal-based flags
 
 BUILTIN_NAMES = ("nat", "bool", "tropical-min", "gcd-nat")
 
@@ -97,7 +99,7 @@ class SemiringDescriptor:
     pure queries, so instances are safe to share freely.
     """
 
-    __slots__ = ("name", "kind", "table", "flags", "flag_notes", "_zero", "_one", "_key")
+    __slots__ = ("name", "kind", "table", "flags", "flag_notes", "_key")
 
     def __init__(self, name: str, kind: CarrierKind, table: FiniteSemiring | None,
                  flags: CapabilityFlags, flag_notes: dict):
@@ -106,8 +108,6 @@ class SemiringDescriptor:
         self.table = table
         self.flags = flags
         self.flag_notes = dict(flag_notes)
-        self._zero = Element(self, self.zero_value)
-        self._one = Element(self, self.one_value)
         self._key = (name, kind, table)
 
     # -- identity -----------------------------------------------------------
@@ -138,14 +138,6 @@ class SemiringDescriptor:
         if self.kind is CarrierKind.TROPICAL_MIN:
             return 0
         return 1
-
-    @property
-    def zero(self) -> Element:
-        return self._zero
-
-    @property
-    def one(self) -> Element:
-        return self._one
 
     # -- element construction -----------------------------------------------
 
@@ -333,26 +325,16 @@ _COMPUTED_NOTE = "computed exhaustively from the operation tables"
 
 def _finite_flags(fs: FiniteSemiring) -> CapabilityFlags:
     """Compute every capability flag from the tables.  The ideal-based flags
-    need a subset scan, so very large tables are refused."""
-    if fs.order > FLAG_COMPUTATION_ORDER_CAP:
-        raise OrderTooLargeError(
-            f"flag computation supports order <= {FLAG_COMPUTATION_ORDER_CAP}, got {fs.order}"
-        )
+    need enumerate_ideals, which refuses orders above its subset-scan cap;
+    it runs first, so such a table fails before the cubic scans."""
+    ideals = enumerate_ideals(fs)
     n = fs.order
     rng = range(n)
-    add, mul = fs.add_table, fs.mul_table
+    mul = fs.mul_table
     z, o = fs.zero_index, fs.one_index
 
     entire = all(mul[a][b] != z for a in rng for b in rng if a != z and b != z)
-    semidomain = all(
-        mul[a][b] != mul[a][c]
-        for a in rng
-        if a != z
-        for b in rng
-        for c in rng
-        if b < c
-    )
-    ideals = enumerate_ideals(fs, cap=FLAG_COMPUTATION_ORDER_CAP)
+    semidomain = cancellation_violation(fs) is None
     all_subtractive = all(subtractive_violation(fs, i) is None for i in ideals)
     weak_gaussian = all(
         subtractive_violation(fs, i) is None
@@ -360,18 +342,14 @@ def _finite_flags(fs: FiniteSemiring) -> CapabilityFlags:
         if len(i) < n and prime_violation(fs, i) is None
     )
 
-    units = {a for a in rng if any(mul[s][a] == o for s in rng)}
-    nonunits = [a for a in rng if a != z and a not in units]
-    irreducibles = {
-        a
-        for a in nonunits
-        if all(s1 in units or s2 in units for s1 in rng for s2 in rng if mul[s1][s2] == a)
-    }
+    unit = units(fs)
+    nonunits = [a for a in rng if a != z and a not in unit]
+    irreducibles = {a for a in nonunits if factor_pair(fs, a) is None}
     primes = set()
     for p in rng:
         if p == o:
             continue
-        principal = frozenset(mul[s][p] for s in rng)
+        principal = multiples(fs, p)
         if len(principal) < n and prime_violation(fs, principal) is None:
             primes.add(p)
     reachable = set(irreducibles)
@@ -447,8 +425,6 @@ class ElementClassification:
     is_prime_element: bool
     factorization_witness: tuple[str, str] | None
     nonprime_witness: tuple[str, str] | None
-    exact: bool
-    bound: int | None
     notes: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
@@ -464,8 +440,6 @@ class ElementClassification:
             "nonprime_witness": list(self.nonprime_witness)
             if self.nonprime_witness
             else None,
-            "exact": self.exact,
-            "bound": self.bound,
             "notes": list(self.notes),
         }
 
@@ -494,14 +468,16 @@ def _smallest_factor_pair(a: int):
     return None
 
 
-def classify_element(S: SemiringDescriptor, a, bound: int = 0) -> ElementClassification:
+def classify_element(S: SemiringDescriptor, a) -> ElementClassification:
     """Zero/unit/irreducible/prime-element verdicts with explicit witnesses.
 
-    Finite carriers are classified exactly by exhaustive scan.  On nat and
-    gcd-nat the multiplication is the ordinary product, so irreducibility
-    and primality reduce to integer primality and are exact.  On other
-    infinite carriers positive verdicts are only certified up to ``bound``;
-    negative verdicts always carry a concrete witness.
+    Every verdict is exact.  Finite carriers are decided by the table scans
+    in ``tables``.  On nat and gcd-nat the multiplication is the ordinary
+    product, so irreducibility and primality reduce to integer primality.
+    On tropical-min the product is ordinary addition of naturals: the only
+    unit is 0 (a + b = 0 forces a = b = 0), the only irreducible is 1, and
+    the prime elements are 1 and inf, with the proofs in ``notes``.
+    Negative verdicts always carry a concrete witness.
     """
     el = S.element(a)
     v = el.value
@@ -510,30 +486,16 @@ def classify_element(S: SemiringDescriptor, a, bound: int = 0) -> ElementClassif
 
     if S.kind is CarrierKind.FINITE:
         fs = S.table
-        n = fs.order
-        rng = range(n)
-        mul = fs.mul_table
-        z, o = fs.zero_index, fs.one_index
-        units = {x for x in rng if any(mul[s][x] == o for s in rng)}
-        is_zero = v == z
-        is_unit = v in units
-        fact_witness = None
-        irreducible = False
-        if not is_zero and not is_unit:
-            irreducible = True
-            for s1 in rng:
-                for s2 in rng:
-                    if mul[s1][s2] == v and s1 not in units and s2 not in units:
-                        fact_witness = (fmt(s1), fmt(s2))
-                        irreducible = False
-                        break
-                if fact_witness:
-                    break
+        is_zero = v == fs.zero_index
+        is_unit = v in units(fs)
+        pair = None if is_zero or is_unit else factor_pair(fs, v)
+        irreducible = not is_zero and not is_unit and pair is None
+        fact_witness = (fmt(pair[0]), fmt(pair[1])) if pair else None
         prime = False
         nonprime_witness = None
-        if v != o:
-            principal = frozenset(mul[s][v] for s in rng)
-            if len(principal) == n:
+        if v != fs.one_index:
+            principal = multiples(fs, v)
+            if len(principal) == fs.order:
                 notes.append("principal ideal is improper")
             else:
                 violation = prime_violation(fs, principal)
@@ -545,13 +507,7 @@ def classify_element(S: SemiringDescriptor, a, bound: int = 0) -> ElementClassif
             notes.append("the multiplicative identity is excluded from primality")
         return ElementClassification(
             fmt(v), is_zero, is_unit, irreducible, prime,
-            fact_witness, nonprime_witness, exact=True, bound=None,
-            notes=tuple(notes),
-        )
-
-    if bound <= 0:
-        raise BoundRequiredError(
-            f"classification over {S.name} needs a positive search bound"
+            fact_witness, nonprime_witness, notes=tuple(notes),
         )
 
     if S.kind in (CarrierKind.NATURALS, CarrierKind.GCD_NATURALS):
@@ -576,41 +532,37 @@ def classify_element(S: SemiringDescriptor, a, bound: int = 0) -> ElementClassif
             nonprime_witness = fact_witness
         return ElementClassification(
             fmt(v), is_zero, is_unit, irreducible, prime,
-            fact_witness, nonprime_witness,
-            exact=True, bound=None, notes=tuple(notes),
+            fact_witness, nonprime_witness, notes=tuple(notes),
         )
 
-    # tropical-min: the only unit is 0 and the only irreducible is 1, but
-    # positive verdicts are reported as bound-verified, not asserted.
+    # tropical-min: (v) = {u >= v} plus inf.  For v >= 2 the witnesses
+    # refute both verdicts: 1 + (v-1) = v, and (v-1) + (v-1) >= v although
+    # v - 1 < v.
     is_zero = v == INFINITY
     is_unit = v == 0
-    irreducible = False
+    irreducible = v == 1
+    prime = is_zero or v == 1
     fact_witness = None
-    prime = False
     nonprime_witness = None
-    exact = True
-    if not is_zero and not is_unit:
-        if v >= 2:
-            fact_witness = (fmt(1), fmt(v - 1))
-        else:
-            irreducible = True
-            exact = False
     if is_zero:
-        prime = True
-        exact = False
         notes.append("(inf) = {inf} is prime: a + b = inf forces a factor inf")
     elif is_unit:
         notes.append("the multiplicative identity is excluded from primality")
     elif v == 1:
-        prime = True
-        exact = False
-        notes.append("min(a, b) >= 1 forces a >= 1 or b >= 1")
+        notes.append(
+            "irreducible: a min-plus product a + b = 1 forces a = 0 or b = 0, "
+            "and 0 is the unit"
+        )
+        notes.append(
+            "prime: (1) = {v >= 1} plus inf, and a min-plus product a + b >= 1 "
+            "forces a >= 1 or b >= 1"
+        )
     else:
+        fact_witness = (fmt(1), fmt(v - 1))
         nonprime_witness = (fmt(v - 1), fmt(v - 1))
     return ElementClassification(
         fmt(v), is_zero, is_unit, irreducible, prime,
-        fact_witness, nonprime_witness,
-        exact=exact, bound=None if exact else bound, notes=tuple(notes),
+        fact_witness, nonprime_witness, notes=tuple(notes),
     )
 
 
@@ -620,47 +572,26 @@ def classify_element(S: SemiringDescriptor, a, bound: int = 0) -> ElementClassif
 @dataclass(frozen=True)
 class SemidomainVerdict:
     holds: bool
-    exhaustive: bool
-    bound: int | None
     counterexample: tuple[str, str, str] | None
+    note: str
 
     def as_dict(self) -> dict:
         return {
             "holds": self.holds,
-            "exhaustive": self.exhaustive,
-            "bound": self.bound,
             "counterexample": list(self.counterexample) if self.counterexample else None,
+            "note": self.note,
         }
 
 
-def semidomain_check(S: SemiringDescriptor, bound: int = 0) -> SemidomainVerdict:
+def semidomain_check(S: SemiringDescriptor) -> SemidomainVerdict:
     """Cancellation test: ab = ac with a != 0 must force b = c.
 
-    Finite carriers are decided exhaustively with a counterexample triple on
-    failure.  Infinite built-ins return the declared flag after re-verifying
-    it on all triples with values <= bound.
+    Finite carriers are decided by the table scan, with the first
+    counterexample triple on failure.  Infinite built-ins return the
+    declared flag; the note is the flag's written justification.
     """
-    if S.kind is not CarrierKind.FINITE and bound <= 0:
-        raise BoundRequiredError(
-            f"semidomain check over {S.name} needs a positive sampling bound"
-        )
-    vals = S.sample_values(bound)
-    zero = S.zero_value
-    fmt = S.format_value
-    for a in vals:
-        if a == zero:
-            continue
-        products = {}
-        for b in vals:
-            ab = S.mul_values(a, b)
-            if ab in products and products[ab] != b:
-                return SemidomainVerdict(
-                    False,
-                    S.kind is CarrierKind.FINITE,
-                    None if S.kind is CarrierKind.FINITE else bound,
-                    (fmt(a), fmt(products[ab]), fmt(b)),
-                )
-            products[ab] = b
-    if S.kind is CarrierKind.FINITE:
-        return SemidomainVerdict(True, True, None, None)
-    return SemidomainVerdict(S.flags.is_semidomain, False, bound, None)
+    note = S.flag_notes["is_semidomain"]
+    violation = cancellation_violation(S.table) if S.kind is CarrierKind.FINITE else None
+    if violation is None:
+        return SemidomainVerdict(S.flags.is_semidomain, None, note)
+    return SemidomainVerdict(False, tuple(map(S.format_value, violation)), note)

@@ -5,10 +5,13 @@ element indices 0..n-1.  By convention (and by the table file format)
 index 0 is the additive identity, which must absorb under multiplication,
 and index 1 is the multiplicative identity.  This module parses and
 serializes the table file format, verifies the eight semiring axioms by
-exhaustive scan, enumerates ideals by subset scan, and enumerates all
-commutative semirings of order at most 5 up to isomorphism: the addition
-and multiplication monoids are each built once by backtracking over table
-cells, then paired, tested for distributivity and deduplicated.
+exhaustive scan, decides the element and ideal facts the criterion rests
+on (units, factor pairs, principal ideals, cancellation, prime and
+subtractive ideals) with one scan each, enumerates ideals by subset scan,
+and enumerates all commutative semirings of order at most 5 up to
+isomorphism: the addition and multiplication monoids are each built once
+by backtracking over table cells, then paired, tested for distributivity
+and deduplicated.
 
 Table file format (line oriented, whitespace separated, '#' comments):
 
@@ -39,7 +42,7 @@ from .errors import (
     TableSyntaxError,
 )
 
-DEFAULT_IDEAL_ORDER_CAP = 6
+MAX_IDEAL_ORDER = 10  # enumerate_ideals scans 2^(n-1) subsets
 MAX_ENUMERATION_ORDER = 5
 
 AXIOM_NAMES = (
@@ -255,13 +258,64 @@ def prime_violation(fs: FiniteSemiring, subset):
     return None
 
 
-def enumerate_ideals(fs: FiniteSemiring, cap: int = DEFAULT_IDEAL_ORDER_CAP):
+def units(fs: FiniteSemiring) -> frozenset:
+    """The elements a with s*a = 1 for some s."""
+    o = fs.one_index
+    return frozenset(a for a in range(fs.order) if any(row[a] == o for row in fs.mul_table))
+
+
+def factor_pair(fs: FiniteSemiring, v):
+    """First (s1, s2) in row-major order with s1*s2 = v and neither factor
+    a unit, else None.  A nonzero non-unit without one is irreducible."""
+    unit = units(fs)
+    rng = range(fs.order)
+    mul = fs.mul_table
+    return next(
+        (
+            (s1, s2)
+            for s1 in rng
+            if s1 not in unit
+            for s2 in rng
+            if s2 not in unit and mul[s1][s2] == v
+        ),
+        None,
+    )
+
+
+def multiples(fs: FiniteSemiring, p) -> frozenset:
+    """The principal ideal (p) = {s*p}.  It is an ideal without a closure
+    step when fs satisfies the axioms: s*p + t*p = (s + t)*p and
+    u*(s*p) = (u*s)*p."""
+    return frozenset(row[p] for row in fs.mul_table)
+
+
+def cancellation_violation(fs: FiniteSemiring):
+    """First (a, b, c) with a != 0, b < c and ab = ac, else None.  Rows a
+    are scanned in order and, within a row, c before b, so the triple is
+    the first repeated product of the first row that has one."""
+    rng = range(fs.order)
+    mul, z = fs.mul_table, fs.zero_index
+    return next(
+        (
+            (a, b, c)
+            for a in rng
+            if a != z
+            for c in rng
+            for b in rng
+            if b < c and mul[a][b] == mul[a][c]
+        ),
+        None,
+    )
+
+
+def enumerate_ideals(fs: FiniteSemiring):
     """All ideals of fs, found by scanning the 2^(n-1) subsets containing
     zero.  Output is canonical: sorted index tuples, ordered by size then
-    lexicographically.  Includes the improper ideal (the whole carrier)."""
-    if fs.order > cap:
+    lexicographically.  Includes the improper ideal (the whole carrier).
+    Orders above MAX_IDEAL_ORDER are refused."""
+    if fs.order > MAX_IDEAL_ORDER:
         raise OrderTooLargeError(
-            f"ideal enumeration supports order <= {cap}, got {fs.order}"
+            f"ideal enumeration supports order <= {MAX_IDEAL_ORDER}, got {fs.order}"
         )
     z = fs.zero_index
     others = [i for i in range(fs.order) if i != z]

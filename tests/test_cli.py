@@ -182,6 +182,17 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["complete"] is False
 
+    @pytest.mark.parametrize("argv", [
+        ["factor", "--semiring", "bool", "--coeff-bound", "0", "x^2+x+1"],
+        ["factor", "--semiring", "gcd-nat", "--coeff-bound", "0", "6*x^2+5*x+1"],
+    ])
+    def test_ignored_coeff_bound_one(self, argv):
+        # finite tables and gcd-nat have no coefficient cap for the bound to
+        # replace, so it is refused rather than silently ignored
+        code, out, err = invoke(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+
     def test_memory_error_one(self, monkeypatch):
         def exhausted(args):
             raise MemoryError

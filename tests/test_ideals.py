@@ -5,6 +5,8 @@ import pytest
 from eisenring import (
     INFINITY,
     enumerate_ideals,
+    enumerate_semirings,
+    from_table,
     ideal_closure,
     principal_ideal,
 )
@@ -56,6 +58,14 @@ class TestPrincipal:
         P = principal_ideal(n3, 2)
         assert isinstance(P, FiniteSetIdeal)
         assert P.elements == {0, 2}
+
+    def test_finite_multiples_equal_closure(self):
+        # {s*p} against the general closure fixpoint as the reference
+        for order in (2, 3, 4):
+            for fs in enumerate_semirings(order):
+                S = from_table(fs)
+                for p in range(order):
+                    assert principal_ideal(S, p) == ideal_closure(S, [p]), (fs.digest(), p)
 
     def test_every_ideal_contains_zero(self, nat, tropical, n3):
         assert principal_ideal(nat, 5).contains(0)

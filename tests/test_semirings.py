@@ -12,7 +12,6 @@ from eisenring import (
     semidomain_check,
 )
 from eisenring.errors import (
-    BoundRequiredError,
     LiteralError,
     SemiringMismatchError,
     UnknownSemiringError,
@@ -160,46 +159,85 @@ class TestDivides:
                 assert S.divides_values(a, c)
 
 
+def definitional_classification(S, v, values):
+    """(is_unit, is_irreducible, is_prime_element) of v from the
+    definitions, with every quantifier ranging over ``values``."""
+    mul, divides = S.mul_values, S.divides_values
+    is_unit = any(mul(s, v) == S.one_value for s in values)
+    unit = {s for s in values if any(mul(t, s) == S.one_value for t in values)}
+    irreducible = v != S.zero_value and not is_unit and not any(
+        mul(s1, s2) == v for s1 in values if s1 not in unit for s2 in values if s2 not in unit
+    )
+    proper = not divides(v, S.one_value)
+    prime = v != S.one_value and proper and all(
+        divides(v, x) or divides(v, y)
+        for x in values for y in values if divides(v, mul(x, y))
+    )
+    return is_unit, irreducible, prime
+
+
 class TestClassify:
     def test_nat_unit(self, nat):
-        cls = classify_element(nat, 1, bound=32)
+        cls = classify_element(nat, 1)
         assert cls.is_unit and not cls.is_irreducible and not cls.is_prime_element
 
     def test_nat_two(self, nat):
-        cls = classify_element(nat, 2, bound=32)
-        assert cls.is_irreducible and cls.is_prime_element and cls.exact
+        cls = classify_element(nat, 2)
+        assert cls.is_irreducible and cls.is_prime_element
 
     def test_gcd_six_reducible(self, gcdnat):
-        cls = classify_element(gcdnat, 6, bound=32)
+        cls = classify_element(gcdnat, 6)
         assert not cls.is_irreducible
         assert cls.factorization_witness == ("2", "3")
         s1, s2 = (int(w) for w in cls.factorization_witness)
         assert s1 * s2 == 6
 
     def test_nat_zero_is_prime_element(self, nat):
-        cls = classify_element(nat, 0, bound=8)
+        cls = classify_element(nat, 0)
         assert cls.is_zero and cls.is_prime_element and not cls.is_irreducible
 
     def test_tropical_one(self, tropical):
-        cls = classify_element(tropical, 1, bound=32)
+        cls = classify_element(tropical, 1)
         assert cls.is_irreducible and cls.is_prime_element
-        assert not cls.exact and cls.bound == 32
+        # the proofs argue from the min-plus product a + b, not from min(a, b)
+        assert all("a + b" in note for note in cls.notes) and len(cls.notes) == 2
 
     def test_tropical_composite(self, tropical):
-        cls = classify_element(tropical, 5, bound=32)
+        cls = classify_element(tropical, 5)
         assert not cls.is_prime_element
         assert cls.nonprime_witness == ("4", "4")
         assert cls.factorization_witness == ("1", "4")
+
+    def test_tropical_matches_brute_force(self, tropical):
+        # the closed forms against the definitions over 0..40 and inf; a
+        # value v <= 20 has all its factor pairs and prime witnesses there
+        values = list(range(41)) + [INFINITY]
+        for v in list(range(21)) + [INFINITY]:
+            cls = classify_element(tropical, v)
+            want = definitional_classification(tropical, v, values)
+            assert (cls.is_unit, cls.is_irreducible, cls.is_prime_element) == want, v
+            if cls.factorization_witness:
+                s1, s2 = (tropical.parse_literal(t) for t in cls.factorization_witness)
+                assert s1 + s2 == v and 0 not in (s1, s2)
+            if cls.nonprime_witness:
+                x, y = (tropical.parse_literal(t) for t in cls.nonprime_witness)
+                assert x + y >= v > max(x, y)
 
     def test_finite_two_in_n3(self, n3):
         cls = classify_element(n3, 2)
         assert not cls.is_irreducible  # 2 = 2*2 with 2 a non-unit
         assert cls.is_prime_element  # (2) = {0, 2} is a prime ideal
-        assert cls.exact
 
-    def test_bound_required(self, nat):
-        with pytest.raises(BoundRequiredError):
-            classify_element(nat, 7)
+    def test_finite_matches_definitions(self):
+        for order in (2, 3, 4):
+            for fs in enumerate_semirings(order):
+                S = from_table(fs)
+                values = range(order)
+                for v in values:
+                    cls = classify_element(S, v)
+                    want = definitional_classification(S, v, values)
+                    got = (cls.is_unit, cls.is_irreducible, cls.is_prime_element)
+                    assert got == want, (fs.digest(), v)
 
     @pytest.mark.parametrize(
         "name,p", [("nat", 2), ("nat", 3), ("tropical-min", 1), ("gcd-nat", 5)]
@@ -207,7 +245,7 @@ class TestClassify:
     def test_prime_elements_behave_primely(self, name, p):
         # p | xy must force p | x or p | y on sampled pairs
         S = builtin_semiring(name)
-        assert classify_element(S, p, bound=64).is_prime_element
+        assert classify_element(S, p).is_prime_element
         vals = sample_values(S)
         for x, y in itertools.product(vals, repeat=2):
             if S.divides_values(p, S.mul_values(x, y)):
@@ -216,24 +254,48 @@ class TestClassify:
 
 class TestSemidomain:
     def test_nat(self, nat):
-        verdict = semidomain_check(nat, bound=16)
+        verdict = semidomain_check(nat)
         assert verdict.holds and verdict.counterexample is None
+        assert verdict.note == nat.flag_notes["is_semidomain"]
 
     def test_bool(self, boolean):
         verdict = semidomain_check(boolean)
-        assert verdict.holds and verdict.exhaustive
+        assert verdict.holds and verdict.counterexample is None
 
     def test_n3_counterexample(self, n3):
         verdict = semidomain_check(n3)
-        assert not verdict.holds and verdict.exhaustive
+        assert not verdict.holds
+        assert verdict.counterexample == ("2", "1", "2")
         a, b, c = verdict.counterexample
         av, bv, cv = (n3.parse_literal(t) for t in (a, b, c))
         assert av != n3.zero_value and bv != cv
         assert n3.mul_values(av, bv) == n3.mul_values(av, cv)
 
-    def test_bound_required(self, tropical):
-        with pytest.raises(BoundRequiredError):
-            semidomain_check(tropical)
+    @pytest.mark.parametrize("name", ["nat", "tropical-min", "gcd-nat"])
+    def test_declared_flag_survives_scan(self, name):
+        # a bounded cancellation scan as a cross-check of the declared flag
+        S = builtin_semiring(name)
+        vals = S.sample_values(16)
+        cancels = all(
+            S.mul_values(a, b) != S.mul_values(a, c)
+            for a in vals if a != S.zero_value
+            for b in vals for c in vals if b != c
+        )
+        assert cancels == S.flags.is_semidomain == semidomain_check(S).holds
+
+    def test_finite_matches_definition(self):
+        for order in (2, 3, 4):
+            for fs in enumerate_semirings(order):
+                S = from_table(fs)
+                verdict = semidomain_check(S)
+                mul = fs.mul_table
+                cancels = all(
+                    mul[a][b] != mul[a][c]
+                    for a in range(1, order) for b in range(order) for c in range(order)
+                    if b != c
+                )
+                assert verdict.holds == S.flags.is_semidomain == cancels, fs.digest()
+                assert (verdict.counterexample is None) == verdict.holds
 
 
 class TestFiniteFlags:

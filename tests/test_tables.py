@@ -186,9 +186,14 @@ class TestIdealEnumeration:
         assert enumerate_ideals(mod3_table()) == [(0,), (0, 1, 2)]
 
     def test_cap(self):
-        fs = mod3_table()
+        # the naturals saturating at 10: a semiring of order 11
+        rng = range(11)
+        add = tuple(tuple(min(a + b, 10) for b in rng) for a in rng)
+        mul = tuple(tuple(min(a * b, 10) for b in rng) for a in rng)
+        fs = FiniteSemiring(11, tuple(map(str, rng)), add, mul)
+        assert check_axioms(fs).all_pass
         with pytest.raises(OrderTooLargeError):
-            enumerate_ideals(fs, cap=2)
+            enumerate_ideals(fs)
 
     def test_agreement_with_definition(self):
         # definitional closure re-check, written out independently here
