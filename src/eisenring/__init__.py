@@ -44,7 +44,6 @@ from .semirings import (
     INFINITY,
     CapabilityFlags,
     CarrierKind,
-    Element,
     ElementClassification,
     SemidomainVerdict,
     SemiringDescriptor,
@@ -80,7 +79,6 @@ __all__ = [
     "CarrierKind",
     "Certificate",
     "EisensteinReport",
-    "Element",
     "ElementClassification",
     "FactorizationOutcome",
     "Finding",

@@ -236,14 +236,14 @@ def check_corollary(
     prime, which is all the argument uses.
     """
     S = f.semiring
-    el = S.element(p)
-    if el.value == S.zero_value:
+    p = S.check_value(p)
+    if p == S.zero_value:
         raise NotPrimeElementError("the corollary needs a nonzero element")
-    if S.is_unit_value(el.value):
+    if S.divides_values(p, S.one_value):
         raise NotPrimeElementError(
             "units are excluded from the prime-element role"
         )
-    report = check_eisenstein(f, principal_ideal(S, el), hypothesis_bound)
+    report = check_eisenstein(f, principal_ideal(S, p), hypothesis_bound)
     flags = S.flags
     if flags.is_weak_gaussian and flags.is_factorial and flags.is_semidomain:
         route = ROUTE_SEMIRING_FLAGS

@@ -10,11 +10,8 @@ class UnknownSemiringError(EisenringError):
 
 
 class SemiringMismatchError(EisenringError):
-    """Elements of different semirings were combined."""
-
-
-class UndecidableDivisibilityError(EisenringError):
-    """No divisibility decision procedure is available on this carrier."""
+    """Objects over different semirings were combined, or an operation
+    was given a carrier of the wrong kind."""
 
 
 class BoundRequiredError(EisenringError):
@@ -48,6 +45,10 @@ class CoefficientBoundError(EisenringError, ValueError):
 
 class BudgetExceededError(EisenringError):
     """An enumeration ran out of its node budget; results so far are partial."""
+
+
+class BudgetError(EisenringError, ValueError):
+    """A search was given a negative budget."""
 
 
 class NotPrimeElementError(EisenringError):

@@ -21,11 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    BoundRequiredError,
-    SemiringMismatchError,
-    UndecidableDivisibilityError,
-)
+from .errors import BoundRequiredError, SemiringMismatchError
 from .semirings import (
     INFINITY,
     CarrierKind,
@@ -91,8 +87,9 @@ class Ideal:
         raise NotImplementedError
 
     def contains(self, a) -> bool:
-        el = self.semiring.element(a)
-        return self.contains_value(el.value)
+        """Membership of a raw value, checked with ``check_value`` first;
+        ``contains_value`` is the unchecked form for internal loops."""
+        return self.contains_value(self.semiring.check_value(a))
 
     def square(self) -> "Ideal":
         if self._square is None:
@@ -199,11 +196,12 @@ class FiniteSetIdeal(Ideal):
 
 
 class PrincipalIdeal(Ideal):
-    """(p) = {s*p : s in S} with divisibility membership; infinite carriers."""
+    """(p) = {s*p : s in S} with divisibility membership; infinite carriers.
+    ``generator`` is the raw value p, checked with ``check_value``."""
 
     def __init__(self, semiring: SemiringDescriptor, generator):
         super().__init__(semiring)
-        self.generator = semiring.element(generator)
+        self.generator = semiring.check_value(generator)
 
     def __eq__(self, other):
         return (
@@ -213,19 +211,19 @@ class PrincipalIdeal(Ideal):
         )
 
     def __hash__(self):
-        return hash((self.semiring, self.generator.value))
+        return hash((self.semiring, self.generator))
 
     def contains_value(self, v) -> bool:
-        return self.semiring.divides_values(self.generator.value, v)
+        return self.semiring.divides_values(self.generator, v)
 
     def describe(self) -> str:
-        return f"({self.semiring.format_value(self.generator.value)})"
+        return f"({self.semiring.format_value(self.generator)})"
 
     def _compute_square(self) -> "PrincipalIdeal":
         # (p)^2 = (p^2): the products (ap)(bp) = ab p^2 generate it, and sums
         # of multiples of p^2 are multiples of p^2 by distributivity.
         S = self.semiring
-        p = self.generator.value
+        p = self.generator
         return PrincipalIdeal(S, S.mul_values(p, p))
 
     def _compute_predicates(self, bound: int) -> IdealPredicateReport:
@@ -234,7 +232,7 @@ class PrincipalIdeal(Ideal):
                 f"ideal predicates over {self.semiring.name} need a positive bound"
             )
         S = self.semiring
-        p = self.generator.value
+        p = self.generator
         fmt = S.format_value
         one = S.one_value
 
@@ -358,16 +356,13 @@ def ideal_closure(S: SemiringDescriptor, generators) -> FiniteSetIdeal:
         raise SemiringMismatchError(
             f"ideal closure needs a finite carrier, got {S.name}"
         )
-    gens = [S.element(g).value for g in generators]
+    gens = [S.check_value(g) for g in generators]
     return FiniteSetIdeal(S, _close_under_ideal_ops(S, gens))
 
 
 def principal_ideal(S: SemiringDescriptor, p) -> Ideal:
     """(p); over a finite carrier the explicit set {s*p} is built, which is
     already addition-closed by distributivity."""
-    el = S.element(p)
     if S.kind is CarrierKind.FINITE:
-        return FiniteSetIdeal(S, multiples(S.table, el.value))
-    if not S.flags.decidable_divisibility:
-        raise UndecidableDivisibilityError(S.name)
-    return PrincipalIdeal(S, el)
+        return FiniteSetIdeal(S, multiples(S.table, S.check_value(p)))
+    return PrincipalIdeal(S, p)

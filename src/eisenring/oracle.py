@@ -67,6 +67,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .errors import (
+    BudgetError,
     BudgetExceededError,
     CoefficientBoundError,
     DegreeTooLargeError,
@@ -369,26 +370,27 @@ def _nat_cofactor(a, n, r, b):
     """The unique h with g*h = f over the naturals as one-element
     position lists: solve the convolution top-down (exact division in
     integer polynomials), then verify the remaining equations and
-    non-negativity.  A g that fails is ruled out as None."""
+    non-negativity.  A g that fails is ruled out as None.  The solved
+    coefficients grow one at a time, so a g rejected after a few
+    equations costs only those equations, not a list as long as h."""
     s = n - r
     br = b[r]
     q, rem = divmod(a[n], br)
     if rem:
         return None
-    c = [0] * (s + 1)
-    c[s] = q
+    top = [q]  # top[i] is c[s - i]
     for k in range(n - 1, r - 1, -1):
-        j0 = k - r
         acc = 0
-        for j in range(j0 + 1, min(s, k) + 1):
-            acc += b[k - j] * c[j]
+        for j in range(k - r + 1, min(s, k) + 1):
+            acc += b[k - j] * top[s - j]
         d = a[k] - acc
         if d < 0:
             return None
         q, rem = divmod(d, br)
         if rem:
             return None
-        c[j0] = q
+        top.append(q)
+    c = top[::-1]
     for k in range(r - 1, -1, -1):
         acc = 0
         for j in range(0, min(s, k) + 1):
@@ -641,7 +643,11 @@ def hunt_subtractivity(
     subtractivity hypothesis) and records proof traces whose a_m lands in
     the ideal (near misses showing where subtractivity would have bitten).
     Nothing found within budget is reported as exactly that: no claim.
+    ``budget``, when given, must be at least 0; 0 examines nothing and
+    reports a partial hunt.
     """
+    if budget is not None and budget < 0:
+        raise BudgetError(f"the hunt budget must be at least 0, got {budget}")
     if max_order < 2:
         raise OrderTooSmallError(f"max_order must be at least 2, got {max_order}")
     if max_order > MAX_VERIFY_ORDER:

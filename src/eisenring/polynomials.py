@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 
 from .errors import DegreeTooLargeError, PolySyntaxError, SemiringMismatchError
-from .semirings import Element, SemiringDescriptor
+from .semirings import SemiringDescriptor
 
 MAX_PARSE_DEGREE = 100_000
 
@@ -35,16 +35,7 @@ class Polynomial:
     __slots__ = ("semiring", "coeffs")
 
     def __init__(self, semiring: SemiringDescriptor, coefficients=()):
-        vals = []
-        for c in coefficients:
-            if isinstance(c, Element):
-                if c.semiring != semiring:
-                    raise SemiringMismatchError(
-                        f"coefficient from {c.semiring.name} in a {semiring.name} polynomial"
-                    )
-                vals.append(c.value)
-            else:
-                vals.append(semiring.check_value(c))
+        vals = [semiring.check_value(c) for c in coefficients]
         zero = semiring.zero_value
         while vals and vals[-1] == zero:
             vals.pop()
@@ -118,14 +109,16 @@ class Polynomial:
                 out[k] = t if out[k] is None else add(out[k], t)
         return Polynomial(S, out)
 
-    def eval(self, x) -> Element:
-        """Horner-style evaluation with the semiring operations."""
+    def eval(self, x):
+        """f(x) by Horner's rule with the semiring operations.  ``x`` is a
+        raw carrier value, checked with ``check_value``; the result is a
+        raw carrier value too."""
         S = self.semiring
-        xv = S.element(x).value
+        xv = S.check_value(x)
         acc = S.zero_value
         for c in reversed(self.coeffs):
             acc = S.add_values(S.mul_values(acc, xv), c)
-        return Element(S, acc)
+        return acc
 
     # -- text -----------------------------------------------------------------
 

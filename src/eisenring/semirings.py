@@ -1,4 +1,4 @@
-"""Semiring descriptors: built-in carriers, element arithmetic, flags.
+"""Semiring descriptors: built-in carriers, arithmetic on raw values, flags.
 
 A semiring here is a commutative addition monoid with identity 0, a
 commutative multiplication monoid with identity 1 != 0, distributivity,
@@ -15,6 +15,11 @@ declared flags, each with a written justification in ``flag_notes``, and
 their elements are classified by closed forms, so no verdict here depends
 on a search bound.  Naturals are Python ints, so there is no overflow
 anywhere; the tropical infinity is ``math.inf``.
+
+Carrier values are plain Python objects: ints (table indices on finite
+carriers) and ``math.inf``.  ``check_value`` validates one where it
+enters the package, at the input edges of polynomials, ideals and the
+classifiers; everything past that edge works on the raw values.
 """
 
 from __future__ import annotations
@@ -25,13 +30,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (
-    SemiringMismatchError,
-    AxiomCheckFailedError,
-    LiteralError,
-    UndecidableDivisibilityError,
-    UnknownSemiringError,
-)
+from .errors import AxiomCheckFailedError, LiteralError, UnknownSemiringError
 from .tables import (
     FiniteSemiring,
     cancellation_violation,
@@ -61,7 +60,6 @@ class CapabilityFlags:
     is_finite: bool
     is_semidomain: bool
     is_entire: bool
-    decidable_divisibility: bool
     all_ideals_subtractive: bool
     is_factorial: bool
     is_weak_gaussian: bool
@@ -71,25 +69,10 @@ class CapabilityFlags:
             "is_finite": self.is_finite,
             "is_semidomain": self.is_semidomain,
             "is_entire": self.is_entire,
-            "decidable_divisibility": self.decidable_divisibility,
             "all_ideals_subtractive": self.all_ideals_subtractive,
             "is_factorial": self.is_factorial,
             "is_weak_gaussian": self.is_weak_gaussian,
         }
-
-
-@dataclass(frozen=True)
-class Element:
-    """A value tagged with its semiring; cross-semiring use is rejected."""
-
-    semiring: "SemiringDescriptor"
-    value: object
-
-    def __repr__(self):
-        return f"<{self.semiring.name}:{self.semiring.format_value(self.value)}>"
-
-    def __str__(self):
-        return self.semiring.format_value(self.value)
 
 
 class SemiringDescriptor:
@@ -139,10 +122,11 @@ class SemiringDescriptor:
             return 0
         return 1
 
-    # -- element construction -----------------------------------------------
+    # -- value validation -----------------------------------------------------
 
     def check_value(self, v):
-        """Validate a raw carrier value, returning its normal form."""
+        """Validate a raw carrier value, returning its normal form; a value
+        outside the carrier raises LiteralError."""
         if self.kind is CarrierKind.FINITE:
             if isinstance(v, bool) or not isinstance(v, int):
                 raise LiteralError(f"finite-carrier values are indices, got {v!r}")
@@ -158,24 +142,6 @@ class SemiringDescriptor:
         if isinstance(v, int) and v >= 0:
             return int(v)
         raise LiteralError(f"values of {self.name} are naturals, got {v!r}")
-
-    def element(self, v) -> Element:
-        if isinstance(v, Element):
-            if v.semiring != self:
-                raise SemiringMismatchError(
-                    f"element of {v.semiring.name} used in {self.name}"
-                )
-            return v
-        return Element(self, self.check_value(v))
-
-    def sample_values(self, bound: int):
-        """Raw values with magnitude <= bound (all of them when finite)."""
-        if self.kind is CarrierKind.FINITE:
-            return list(range(self.table.order))
-        vals = list(range(bound + 1))
-        if self.kind is CarrierKind.TROPICAL_MIN:
-            vals.append(INFINITY)
-        return vals
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -212,14 +178,6 @@ class SemiringDescriptor:
             return math.gcd, operator.mul
         return min, operator.add  # tropical-min; inf is absorbing under +
 
-    def add(self, a, b) -> Element:
-        a, b = self.element(a), self.element(b)
-        return Element(self, self.add_values(a.value, b.value))
-
-    def mul(self, a, b) -> Element:
-        a, b = self.element(a), self.element(b)
-        return Element(self, self.mul_values(a.value, b.value))
-
     def divides_values(self, x, y) -> bool:
         """x | y, i.e. some s has y = s*x."""
         k = self.kind
@@ -234,11 +192,6 @@ class SemiringDescriptor:
         if k is CarrierKind.FINITE:
             row = self.table.mul_table
             return any(row[s][x] == y for s in range(self.table.order))
-        raise UndecidableDivisibilityError(self.name)
-
-    def divides(self, a, b) -> bool:
-        a, b = self.element(a), self.element(b)
-        return self.divides_values(a.value, b.value)
 
     # -- literals -------------------------------------------------------------
 
@@ -267,10 +220,6 @@ class SemiringDescriptor:
                 ) from None
         raise LiteralError(f"{text!r} is not a value of {self.name}")
 
-    def is_unit_value(self, v) -> bool:
-        """v divides one, i.e. v has a multiplicative inverse."""
-        return self.divides_values(v, self.one_value)
-
 
 # ---------------------------------------------------------------------------
 # built-in registry
@@ -278,7 +227,6 @@ class SemiringDescriptor:
 _NAT_NOTES = {
     "is_semidomain": "ab = ac with a != 0 cancels in the naturals",
     "is_entire": "no zero divisors among the naturals",
-    "decidable_divisibility": "integer remainder test; 0 | b only for b = 0",
     "all_ideals_subtractive": (
         "fails: N minus {1} is an ideal (sums avoid 1, scalings avoid 1) "
         "but 2 + 1 = 3 and 2 lie in it while 1 does not"
@@ -293,7 +241,6 @@ _NAT_NOTES = {
 _GCD_NOTES = {
     "is_semidomain": "multiplication is the ordinary integer product",
     "is_entire": "ordinary product of nonzero naturals is nonzero",
-    "decidable_divisibility": "integer remainder test",
     "all_ideals_subtractive": (
         "every ideal: b is a multiple of gcd(a, b), so gcd(a, b) in I "
         "forces b in I by scaling closure"
@@ -308,7 +255,6 @@ _GCD_NOTES = {
 _TROPICAL_NOTES = {
     "is_semidomain": "min-plus product is addition: a + b = a + c cancels for finite a",
     "is_entire": "a + b = inf forces a = inf or b = inf",
-    "decidable_divisibility": "b = s + a is solvable iff b = inf or b >= a with a finite",
     "all_ideals_subtractive": (
         "every ideal is upward closed (scaling adds arbitrary naturals) and "
         "contains inf; min(a, b) in I with b >= min(a, b) forces b in I"
@@ -368,7 +314,6 @@ def _finite_flags(fs: FiniteSemiring) -> CapabilityFlags:
         is_finite=True,
         is_semidomain=semidomain,
         is_entire=entire,
-        decidable_divisibility=True,
         all_ideals_subtractive=all_subtractive,
         is_factorial=factorial,
         is_weak_gaussian=weak_gaussian,
@@ -392,19 +337,19 @@ def from_table(fs: FiniteSemiring, name: str | None = None) -> SemiringDescripto
 def builtin_semiring(name: str) -> SemiringDescriptor:
     """The registered built-in semirings: nat, bool, tropical-min, gcd-nat."""
     if name == "nat":
-        flags = CapabilityFlags(False, True, True, True, False, True, False)
+        flags = CapabilityFlags(False, True, True, False, True, False)
         return SemiringDescriptor("nat", CarrierKind.NATURALS, None, flags, _NAT_NOTES)
     if name == "bool":
         from .tables import boolean_table
 
         return from_table(boolean_table(), name="bool")
     if name == "tropical-min":
-        flags = CapabilityFlags(False, True, True, True, True, True, True)
+        flags = CapabilityFlags(False, True, True, True, True, True)
         return SemiringDescriptor(
             "tropical-min", CarrierKind.TROPICAL_MIN, None, flags, _TROPICAL_NOTES
         )
     if name == "gcd-nat":
-        flags = CapabilityFlags(False, True, True, True, True, True, True)
+        flags = CapabilityFlags(False, True, True, True, True, True)
         return SemiringDescriptor(
             "gcd-nat", CarrierKind.GCD_NATURALS, None, flags, _GCD_NOTES
         )
@@ -479,8 +424,7 @@ def classify_element(S: SemiringDescriptor, a) -> ElementClassification:
     the prime elements are 1 and inf, with the proofs in ``notes``.
     Negative verdicts always carry a concrete witness.
     """
-    el = S.element(a)
-    v = el.value
+    v = S.check_value(a)
     fmt = S.format_value
     notes = []
 

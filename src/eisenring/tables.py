@@ -22,8 +22,8 @@ Table file format (line oriented, whitespace separated, '#' comments):
     mul
     <n rows of n names>                    # row i, column j = i * j
 
-Element names are restricted to [A-Za-z0-9_]+ and may not be 'x' or
-'inf', which are reserved by the polynomial expression grammar.
+The names of elements are restricted to [A-Za-z0-9_]+ and may not be
+'x' or 'inf', which are reserved by the polynomial expression grammar.
 """
 
 from __future__ import annotations

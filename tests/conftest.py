@@ -3,6 +3,8 @@ from pathlib import Path
 import pytest
 
 from eisenring import (
+    INFINITY,
+    CarrierKind,
     builtin_semiring,
     enumerate_semirings,
     from_table,
@@ -11,6 +13,17 @@ from eisenring import (
 
 TABLES_DIR = Path(__file__).resolve().parent.parent / "tables"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def sample_values(S, bound):
+    """Raw values of S with magnitude <= bound, and inf on tropical-min;
+    every element of a finite carrier."""
+    if S.kind is CarrierKind.FINITE:
+        return list(range(S.table.order))
+    vals = list(range(bound + 1))
+    if S.kind is CarrierKind.TROPICAL_MIN:
+        vals.append(INFINITY)
+    return vals
 
 
 @pytest.fixture(scope="session")

@@ -33,7 +33,7 @@ from eisenring import (
 from eisenring.cli import run_cli
 from eisenring.tables import FiniteSemiring
 
-from conftest import GOLDEN_DIR, TABLES_DIR
+from conftest import GOLDEN_DIR, TABLES_DIR, sample_values
 
 
 def _report(criterion, detail):
@@ -108,7 +108,7 @@ def test_criterion_3_proof_engine_lemma():
     total = 0
     for S, p in configs:
         P = principal_ideal(S, p)
-        pool = S.sample_values(30)
+        pool = sample_values(S, 30)
         members = [v for v in pool if P.contains_value(v)]
         nonmembers = [v for v in pool if not P.contains_value(v)]
         nonzero = [v for v in pool if v != S.zero_value]

@@ -182,6 +182,19 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["complete"] is False
 
+    def test_negative_hunt_budget_one(self):
+        # refused with exit 1; a budget of 0 is a valid, empty partial hunt
+        code, out, err = invoke(
+            ["hunt", "--max-order", "2", "--max-degree", "1", "--budget", "-1"]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        code, out, _ = invoke(
+            ["--json", "hunt", "--max-order", "2", "--max-degree", "1", "--budget", "0"]
+        )
+        assert code == 0
+        assert json.loads(out)["partial"] is True
+
     @pytest.mark.parametrize("argv", [
         ["factor", "--semiring", "bool", "--coeff-bound", "0", "x^2+x+1"],
         ["factor", "--semiring", "gcd-nat", "--coeff-bound", "0", "6*x^2+5*x+1"],

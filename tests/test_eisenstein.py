@@ -33,6 +33,8 @@ from eisenring.errors import (
 )
 from eisenring.ideals import FiniteSetIdeal
 
+from conftest import sample_values
+
 BOUND = 128
 
 
@@ -419,10 +421,10 @@ class TestProofTrace:
         rng = random.Random(3)
         for S, p in ((nat, 2), (gcdnat, 2), (tropical, 1)):
             P = principal_ideal(S, p)
-            members = [v for v in S.sample_values(24) if P.contains_value(v)]
-            nonmembers = [v for v in S.sample_values(24) if not P.contains_value(v)]
-            nonzero = [v for v in S.sample_values(24) if v != S.zero_value]
-            pool = S.sample_values(24)
+            pool = sample_values(S, 24)
+            members = [v for v in pool if P.contains_value(v)]
+            nonmembers = [v for v in pool if not P.contains_value(v)]
+            nonzero = [v for v in pool if v != S.zero_value]
             for _ in range(150):
                 b = [rng.choice(nonmembers)]
                 b += [rng.choice(pool) for _ in range(rng.randrange(0, 2))]

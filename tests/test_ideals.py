@@ -13,6 +13,8 @@ from eisenring import (
 from eisenring.errors import BoundRequiredError, SemiringMismatchError
 from eisenring.ideals import FiniteSetIdeal
 
+from conftest import sample_values
+
 
 class TestClosure:
     def test_n3_generator_two(self, n3):
@@ -227,7 +229,7 @@ class TestSquare:
             sample = (
                 sorted(ideal.elements)
                 if isinstance(ideal, FiniteSetIdeal)
-                else ideal.semiring.sample_values(40)
+                else sample_values(ideal.semiring, 40)
             )
             for v in sample:
                 if square.contains_value(v):

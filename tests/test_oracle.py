@@ -19,6 +19,7 @@ from eisenring import (
     verify_theorem,
 )
 from eisenring.errors import (
+    BudgetError,
     CoefficientBoundError,
     DegreeTooLargeError,
     DegreeTooSmallError,
@@ -94,6 +95,38 @@ def naive_tropical_search(coeffs, cap):
                     if b0 + c0 == a0 and min(b0 + c1, b1 + c0) == a1:
                         return (b0, b1), (c0, c1)
     return None
+
+
+def full_allocation_nat_cofactor(a, n, r, b):
+    """Reference for ``oracle._nat_cofactor``: the same equations in the
+    same order, with h's coefficient list allocated in full before the
+    first one is checked."""
+    s = n - r
+    br = b[r]
+    q, rem = divmod(a[n], br)
+    if rem:
+        return None
+    c = [0] * (s + 1)
+    c[s] = q
+    for k in range(n - 1, r - 1, -1):
+        j0 = k - r
+        acc = 0
+        for j in range(j0 + 1, min(s, k) + 1):
+            acc += b[k - j] * c[j]
+        d = a[k] - acc
+        if d < 0:
+            return None
+        q, rem = divmod(d, br)
+        if rem:
+            return None
+        c[j0] = q
+    for k in range(r - 1, -1, -1):
+        acc = 0
+        for j in range(0, min(s, k) + 1):
+            acc += b[k - j] * c[j]
+        if acc != a[k]:
+            return None
+    return [[v] for v in c]
 
 
 def polynomial_product_driver(f, pairs, pair_space, limit):
@@ -348,6 +381,45 @@ class TestCompleteness:
     def test_lazy_product_matches_itertools(self, seqs):
         assert list(oracle._lazy_product(*seqs)) == list(itertools.product(*seqs))
 
+    def test_nat_cofactor_matches_full_allocation(self):
+        # seeded products g*h (the cofactor exists) and perturbed g (it
+        # mostly does not), against the reference that allocates h first
+        rng = random.Random(41)
+        found = 0
+        for _ in range(600):
+            r, s = rng.randint(1, 5), rng.randint(1, 5)
+            g = [rng.randint(0, 4) for _ in range(r)] + [rng.randint(1, 4)]
+            h = [rng.randint(0, 4) for _ in range(s)] + [rng.randint(1, 4)]
+            a = [0] * (r + s + 1)
+            for i, gi in enumerate(g):
+                for j, hj in enumerate(h):
+                    a[i + j] += gi * hj
+            for b in (g, [*g[:-1], g[-1] + 1], [rng.randint(0, 4) for _ in range(r)] + [g[-1]]):
+                got = oracle._nat_cofactor(a, r + s, r, b)
+                assert got == full_allocation_nat_cofactor(a, r + s, r, b), (a, b)
+                found += got is not None
+        assert found >= 600
+
+    def test_nat_search_matches_full_allocation(self, nat, monkeypatch):
+        rng = random.Random(43)
+        cases = [Polynomial(nat, [rng.randint(0, 9) for _ in range(d)] + [rng.randint(1, 9)])
+                 for d in (2, 3, 4, 5) for _ in range(10)]
+        cases += [f * Polynomial(nat, [rng.randint(0, 3), rng.randint(1, 3)]) for f in cases[:20]]
+        runs = [(f, budget) for f in cases for budget in (None, 0, 3, 50)]
+        fast = [search_factorizations(f, node_budget=b).as_dict() for f, b in runs]
+        monkeypatch.setattr(oracle, "_nat_cofactor", full_allocation_nat_cofactor)
+        reference = [search_factorizations(f, node_budget=b).as_dict() for f, b in runs]
+        assert fast == reference
+        assert any(o["result"] == "found" for o in fast)
+
+    def test_nat_rejected_g_cost_independent_of_degree(self, nat):
+        # every g is ruled out at its first equation, which must cost the
+        # same at degree 100,000 as at degree 2: no work in the length of h
+        f = Polynomial.parse("x^100000 + 1", nat)
+        outcome = search_factorizations(f, node_budget=20_000)
+        assert outcome.nodes == 20_001
+        assert outcome.complete is False
+
     def test_node_budget_partial(self, boolean):
         f = Polynomial.parse("x^2 + x + 1", boolean)
         outcome = search_factorizations(f, node_budget=0)
@@ -440,6 +512,11 @@ class TestHunt:
         report = hunt_subtractivity(3, 3, budget=0)
         assert report.findings == ()
         assert report.partial
+
+    def test_negative_budget_rejected(self):
+        # refused, not reported as a partial hunt that examined nothing
+        with pytest.raises(BudgetError):
+            hunt_subtractivity(2, 1, budget=-1)
 
     @pytest.mark.parametrize("args", [
         (3, 3, None), (4, 3, None),

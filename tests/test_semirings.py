@@ -5,29 +5,23 @@ import pytest
 
 from eisenring import (
     INFINITY,
+    Polynomial,
+    PrincipalIdeal,
     builtin_semiring,
+    check_corollary,
     classify_element,
     enumerate_semirings,
     from_table,
+    ideal_closure,
+    principal_ideal,
     semidomain_check,
 )
-from eisenring.errors import (
-    LiteralError,
-    SemiringMismatchError,
-    UnknownSemiringError,
-)
+from eisenring.errors import LiteralError, UnknownSemiringError
 
-# fixed sample grids for the law checks; "<= 64" is the sampling range
-SAMPLE_NATURALS = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 64]
+from conftest import sample_values
 
-
-def sample_values(S):
-    if S.flags.is_finite:
-        return list(range(S.table.order))
-    vals = list(SAMPLE_NATURALS)
-    if S.name == "tropical-min":
-        vals.append(INFINITY)
-    return vals
+# the law and divisibility checks sample the naturals <= 64
+SAMPLE_BOUND = 64
 
 
 class TestBuiltins:
@@ -63,29 +57,24 @@ class TestBuiltins:
 
 class TestArithmetic:
     def test_bool_idempotent_or(self, boolean):
-        assert boolean.add(1, 1).value == 1
+        assert boolean.add_values(1, 1) == 1
 
     def test_tropical_min_plus(self, tropical):
-        assert tropical.mul(2, 3).value == 5
-        assert tropical.add(2, 3).value == 2
+        assert tropical.mul_values(2, 3) == 5
+        assert tropical.add_values(2, 3) == 2
 
     def test_gcd_nat_ops(self, gcdnat):
-        assert gcdnat.add(6, 10).value == 2
-        assert gcdnat.mul(6, 10).value == 60
-
-    def test_cross_semiring_rejected(self, nat, gcdnat):
-        two = nat.element(2)
-        with pytest.raises(SemiringMismatchError):
-            gcdnat.add(two, 3)
+        assert gcdnat.add_values(6, 10) == 2
+        assert gcdnat.mul_values(6, 10) == 60
 
     def test_value_validation(self, nat, tropical, boolean):
         with pytest.raises(LiteralError):
-            nat.element(-1)
+            nat.check_value(-1)
         with pytest.raises(LiteralError):
-            nat.element(INFINITY)
-        assert tropical.element(INFINITY).value == INFINITY
+            nat.check_value(INFINITY)
+        assert tropical.check_value(INFINITY) == INFINITY
         with pytest.raises(LiteralError):
-            boolean.element(2)
+            boolean.check_value(2)
 
     def test_value_ops_agree_with_dispatch(self):
         # every pair of every order-2..4 table, and seeded infinite-carrier
@@ -114,7 +103,7 @@ class TestLaws:
     @pytest.mark.parametrize("name", ["nat", "bool", "tropical-min", "gcd-nat"])
     def test_semiring_laws_on_samples(self, name):
         S = builtin_semiring(name)
-        vals = sample_values(S)
+        vals = sample_values(S, SAMPLE_BOUND)
         zero, one = S.zero_value, S.one_value
         add, mul = S.add_values, S.mul_values
         for a in vals:
@@ -136,24 +125,24 @@ class TestLaws:
 
 class TestDivides:
     def test_nat(self, nat):
-        assert nat.divides(3, 12)
-        assert not nat.divides(5, 12)
-        assert nat.divides(0, 0)
-        assert not nat.divides(0, 3)
+        assert nat.divides_values(3, 12)
+        assert not nat.divides_values(5, 12)
+        assert nat.divides_values(0, 0)
+        assert not nat.divides_values(0, 3)
 
     def test_tropical(self, tropical):
-        assert tropical.divides(1, 3)
-        assert tropical.divides(2, INFINITY)
-        assert not tropical.divides(INFINITY, 2)
-        assert tropical.divides(INFINITY, INFINITY)
+        assert tropical.divides_values(1, 3)
+        assert tropical.divides_values(2, INFINITY)
+        assert not tropical.divides_values(INFINITY, 2)
+        assert tropical.divides_values(INFINITY, INFINITY)
 
     def test_bool_absorbing(self, boolean):
-        assert boolean.divides(1, 0)
+        assert boolean.divides_values(1, 0)
 
     @pytest.mark.parametrize("name", ["nat", "bool", "tropical-min", "gcd-nat"])
     def test_transitivity(self, name):
         S = builtin_semiring(name)
-        vals = sample_values(S)
+        vals = sample_values(S, SAMPLE_BOUND)
         for a, b, c in itertools.product(vals, repeat=3):
             if S.divides_values(a, b) and S.divides_values(b, c):
                 assert S.divides_values(a, c)
@@ -246,7 +235,7 @@ class TestClassify:
         # p | xy must force p | x or p | y on sampled pairs
         S = builtin_semiring(name)
         assert classify_element(S, p).is_prime_element
-        vals = sample_values(S)
+        vals = sample_values(S, SAMPLE_BOUND)
         for x, y in itertools.product(vals, repeat=2):
             if S.divides_values(p, S.mul_values(x, y)):
                 assert S.divides_values(p, x) or S.divides_values(p, y)
@@ -275,7 +264,7 @@ class TestSemidomain:
     def test_declared_flag_survives_scan(self, name):
         # a bounded cancellation scan as a cross-check of the declared flag
         S = builtin_semiring(name)
-        vals = S.sample_values(16)
+        vals = sample_values(S, 16)
         cancels = all(
             S.mul_values(a, b) != S.mul_values(a, c)
             for a in vals if a != S.zero_value
@@ -316,3 +305,30 @@ class TestFiniteFlags:
 
         flags = from_table(mod3_table()).flags
         assert flags.is_semidomain and flags.is_factorial and flags.is_weak_gaussian
+
+
+# Every public entry point that takes a raw carrier value checks it with
+# check_value.  ideal_closure refuses an infinite carrier before it looks
+# at a value, so it is exercised on the finite table only.
+INPUT_EDGES = {
+    "Polynomial": lambda S, v: Polynomial(S, (S.one_value, v)),
+    "Polynomial.eval": lambda S, v: Polynomial(S, (S.one_value,)).eval(v),
+    "principal_ideal": principal_ideal,
+    "PrincipalIdeal": PrincipalIdeal,
+    "ideal_closure": lambda S, v: ideal_closure(S, [v]),
+    "Ideal.contains": lambda S, v: principal_ideal(S, S.one_value).contains(v),
+    "classify_element": classify_element,
+    "check_corollary": lambda S, v: check_corollary(Polynomial(S, (1, 1)), v),
+}
+BAD_VALUES = {"nat-neg": ("nat", -1), "nat-inf": ("nat", INFINITY),
+              "tropical-neg": ("tropical-min", -1), "bool-order": ("bool", 2)}
+
+
+@pytest.mark.parametrize("edge,bad", [
+    (edge, bad) for edge in INPUT_EDGES for bad in BAD_VALUES
+    if edge != "ideal_closure" or bad == "bool-order"
+])
+def test_input_edge_rejects_value_outside_carrier(edge, bad):
+    name, value = BAD_VALUES[bad]
+    with pytest.raises(LiteralError):
+        INPUT_EDGES[edge](builtin_semiring(name), value)
