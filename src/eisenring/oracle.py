@@ -31,7 +31,16 @@ becomes Polynomial objects.  Only the candidate rules differ:
                   most max(f); extreme coefficients must divide a_n and
                   a_0 exactly; h is the unique quotient in integer
                   polynomials, derived top-down.  Middles are walked
-                  lazily up to the cap.  Complete.
+                  lazily up to the cap.  With a_0 > 0 the same bounds
+                  cut the walk: c_0 = a_0 / b_0 >= 1 caps middle i at
+                  a_i // c_0 and the lead at a_r // c_0, and after
+                  b_0..b_(r-1) the lead must keep c_s = a_n / b_r <=
+                  a_(k+s) // b_k for every b_k > 0, one run of the
+                  ascending divisors.  A cut g has no quotient, so
+                  ``nodes`` still counts every g tuple up to the cap:
+                  the walk reports each cut run as its length, at its
+                  place in the order, and the driver charges it in
+                  bulk.  Complete.
   tropical-min    b_r + c_s = a_n and b_0 + c_0 = a_0 hold exactly;
                   middle candidates are capped at the largest finite
                   coefficient of f with inf included, since any larger
@@ -62,6 +71,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -125,7 +135,9 @@ class _CandidateSpace(NamedTuple):
     """``pair(r, s)`` gives g's coefficient tuples in lexicographic
     order, constant first, and a function from a g tuple to h's
     per-position candidate lists, constant first, or None when that g is
-    ruled out."""
+    ruled out.  An int among the g tuples stands for that many g tuples,
+    at that place in the order, that are ruled out without a look; its h
+    lists are None."""
 
     pair: Callable
     coefficient_bound: str
@@ -153,10 +165,13 @@ def search_factorizations(
     outcome to complete=False.  Finite tables and gcd-nat have no such
     cap, so a bound there raises CoefficientBoundError rather than being
     ignored.
-    ``node_budget`` limits candidates examined; running out returns a
-    partial outcome instead of raising.
+    ``node_budget``, when given, must be at least 0; it limits candidates
+    examined, and running out returns a partial outcome instead of
+    raising.
     """
     _check_window(window)
+    if node_budget is not None and node_budget < 0:
+        raise BudgetError(f"the node budget must be at least 0, got {node_budget}")
     if coeff_bound is not None and coeff_bound < 0:
         raise CoefficientBoundError(
             f"the coefficient bound must be at least 0, got {coeff_bound}"
@@ -200,7 +215,8 @@ def _first_factorization(f: Polynomial, pairs, pair_space, limit):
     """The first (g, h) in candidate order with g*h == f, or None, and the
     nodes spent: one per full h candidate, and ``limit + 1`` when the
     budget runs out.  A g whose h lists are None was ruled out while they
-    were derived; it costs one node.
+    were derived; it costs one node, and the int k that stands for a run
+    of k ruled-out g tuples costs k nodes.
 
     h is walked one position at a time, constant first.  Product
     coefficient j <= s needs only g and h_0..h_j, so it is compared with f
@@ -222,9 +238,9 @@ def _first_factorization(f: Polynomial, pairs, pair_space, limit):
         for g in g_tuples:
             lists = h_lists(g)
             if lists is None:
-                nodes += 1
+                nodes += g if type(g) is int else 1
                 if nodes > limit:
-                    return None, nodes
+                    return None, limit + 1
                 continue
             if top is None:
                 target = f.coeffs + (S.zero_value,) * (r + s - f.degree)
@@ -320,13 +336,16 @@ def _nat_space(f: Polynomial, pairs, window, coeff_bound) -> _CandidateSpace:
     n = f.degree
     derived = max(a)
     cap = derived if coeff_bound is None else coeff_bound
-    middles = range(cap + 1)
     leads = [d for d in _divisors(a[n]) if d <= cap]
-    consts = [d for d in _divisors(a[0]) if d <= cap] if a[0] > 0 else middles
+    consts = [d for d in _divisors(a[0]) if d <= cap] if a[0] > 0 else range(cap + 1)
 
     def pair(r, s):
-        g_tuples = _lazy_product(consts, *[middles] * (r - 1), leads)
-        return g_tuples, partial(_nat_cofactor, a, n, r)
+        cofactor = partial(_nat_cofactor, a, n, r)
+
+        def h_lists(g):  # an int stands for a run of g tuples the walk ruled out
+            return None if type(g) is int else cofactor(g)
+
+        return _nat_g_walk(a, r, cap, consts, leads), h_lists
 
     return _CandidateSpace(
         pair,
@@ -336,34 +355,60 @@ def _nat_space(f: Polynomial, pairs, window, coeff_bound) -> _CandidateSpace:
     )
 
 
-_EXHAUSTED = object()  # a position's iterator ran out
+def _nat_g_walk(a, r, cap, consts, leads):
+    """The degree-r g tuples over ``consts``, range(cap + 1) for each
+    middle and ``leads``, in lexicographic order, constant first, with
+    every run that the convolution bounds rule out given as its length.
 
-
-def _lazy_product(*seqs):
-    """``itertools.product(*seqs)`` in the same order without copying its
-    inputs into tuples first, which a huge nat ``range`` of middles cannot
-    survive.  An odometer of one iterator per position: the last position
-    turns fastest, and a position that runs out restarts from its first
-    value and advances the one before it.  Each output tuple is built
-    once."""
-    walks = [iter(seq) for seq in seqs]
-    try:
-        current = [next(walk) for walk in walks]
-    except StopIteration:
+    With a_0 > 0, c_0 = a_0 / b_0 >= 1 and every convolution term is
+    non-negative, so b_i * c_0 <= a_i: middle i runs only to
+    min(cap, a_i // c_0) and the lead to a_r // c_0.  For a full prefix
+    b_0..b_(r-1), c_s = a_n / b_r must also satisfy b_k * c_s <= a_(k+s)
+    for every b_k > 0, which bounds the lead from below; the allowed leads
+    are one run of the ascending ``leads``.  A ruled-out g has no cofactor,
+    so charging it in bulk at its place in the order keeps every g at its
+    rank in the full walk.  Each prefix gives at least one g tuple or one
+    run, so the driver's budget bounds the walk.  With a_0 = 0 nothing is
+    ruled out."""
+    if not leads:
         return
-    while True:
-        yield tuple(current)
-        i = len(seqs) - 1
+    n = len(a) - 1
+    s = n - r
+    below = [len(leads)] * r  # g tuples that share a prefix b_0..b_i
+    for i in range(r - 1, 0, -1):
+        below[i - 1] = below[i] * (cap + 1)
+    for b0 in consts:
+        if a[0]:
+            c0 = a[0] // b0
+            tops = [min(cap, a[i] // c0) for i in range(r)]
+            hi = bisect_right(leads, a[r] // c0)
+        else:
+            tops, hi = [cap] * r, len(leads)
+        if hi == 0:
+            yield below[0]
+            continue
+        b = [b0] + [0] * (r - 1)
         while True:
-            if i < 0:
-                return
-            v = next(walks[i], _EXHAUSTED)
-            if v is not _EXHAUSTED:
-                current[i] = v
+            lo = 0
+            if a[0]:
+                m = min(a[k + s] // b[k] for k in range(r) if b[k])
+                lo = min(bisect_left(leads, -(-a[n] // m)), hi) if m else hi
+            if lo:
+                yield lo
+            prefix = tuple(b)
+            for lead in leads[lo:hi]:
+                yield (*prefix, lead)
+            cut = len(leads) - hi
+            i = r - 1
+            while i > 0 and b[i] == tops[i]:
+                cut += (cap - tops[i]) * below[i]
+                b[i] = 0
+                i -= 1
+            if cut:
+                yield cut
+            if i == 0:
                 break
-            walks[i] = iter(seqs[i])
-            current[i] = next(walks[i])
-            i -= 1
+            b[i] += 1
 
 
 def _nat_cofactor(a, n, r, b):

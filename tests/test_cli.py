@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from eisenring import Polynomial, builtin_semiring, cli, principal_ideal
+from eisenring import Polynomial, builtin_semiring, cli, oracle, principal_ideal
 from eisenring.cli import run_cli
 
 from conftest import GOLDEN_DIR, TABLES_DIR
@@ -227,6 +227,21 @@ class TestExitCodes:
         assert doc["result"] == "none-within-bounds"
         assert doc["complete"] is True
 
+
+    def test_factor_exhausted_budget_cuts_runs_in_bulk(self, monkeypatch):
+        # the convolution bounds rule out every g of every degree pair, so
+        # the default 2M-node budget runs out on bulk counts, not cofactors
+        calls = []
+        cofactor = oracle._nat_cofactor
+        monkeypatch.setattr(
+            oracle, "_nat_cofactor", lambda *args: calls.append(args) or cofactor(*args)
+        )
+        code, out, err = invoke(["--json", "factor", "--semiring", "nat", "x^50 + 1"])
+        assert (code, err) == (2, "")
+        doc = json.loads(out)
+        assert (doc["result"], doc["complete"]) == ("none-within-bounds", False)
+        assert doc["nodes"] == 2_000_001
+        assert len(calls) < 100
 
     def test_factor_gcd_large_coefficients_completes(self):
         # the middle candidates are the divisors of a product near 10^18;

@@ -129,6 +129,41 @@ def full_allocation_nat_cofactor(a, n, r, b):
     return [[v] for v in c]
 
 
+EXHAUSTED = object()  # a position's iterator ran out
+
+
+def lazy_product(*seqs):
+    """``itertools.product(*seqs)`` in the same order without copying its
+    inputs into tuples first, which a huge nat ``range`` of middles cannot
+    survive: an odometer of one iterator per position, the last turning
+    fastest."""
+    walks = [iter(seq) for seq in seqs]
+    try:
+        current = [next(walk) for walk in walks]
+    except StopIteration:
+        return
+    while True:
+        yield tuple(current)
+        i = len(seqs) - 1
+        while True:
+            if i < 0:
+                return
+            v = next(walks[i], EXHAUSTED)
+            if v is not EXHAUSTED:
+                current[i] = v
+                break
+            walks[i] = iter(seqs[i])
+            current[i] = next(walks[i])
+            i -= 1
+
+
+def full_nat_walk(a, r, cap, consts, leads):
+    """Reference for ``oracle._nat_g_walk``: every g tuple over ``consts``,
+    range(cap + 1) for each middle and ``leads``, in the same order, none
+    ruled out by the convolution bounds."""
+    return lazy_product(consts, *[range(cap + 1)] * (r - 1), leads)
+
+
 def polynomial_product_driver(f, pairs, pair_space, limit):
     """Reference for ``oracle._first_factorization``: the same candidates,
     order and node rule, but every full h tuple is expanded with
@@ -379,7 +414,7 @@ class TestCompleteness:
         (range(2), range(3), range(2), [8, 9]),
     ])
     def test_lazy_product_matches_itertools(self, seqs):
-        assert list(oracle._lazy_product(*seqs)) == list(itertools.product(*seqs))
+        assert list(lazy_product(*seqs)) == list(itertools.product(*seqs))
 
     def test_nat_cofactor_matches_full_allocation(self):
         # seeded products g*h (the cofactor exists) and perturbed g (it
@@ -413,12 +448,18 @@ class TestCompleteness:
         assert any(o["result"] == "found" for o in fast)
 
     def test_nat_rejected_g_cost_independent_of_degree(self, nat):
-        # every g is ruled out at its first equation, which must cost the
-        # same at degree 100,000 as at degree 2: no work in the length of h
+        # every g is ruled out, by the convolution bounds or at the first
+        # cofactor equation, which must cost the same at degree 100,000 as
+        # at degree 2: no work in the length of h
         f = Polynomial.parse("x^100000 + 1", nat)
         outcome = search_factorizations(f, node_budget=20_000)
         assert outcome.nodes == 20_001
         assert outcome.complete is False
+
+    def test_negative_node_budget_rejected(self, nat):
+        f = Polynomial.parse("x^2 + 3*x + 2", nat)
+        with pytest.raises(BudgetError):
+            search_factorizations(f, node_budget=-1)
 
     def test_node_budget_partial(self, boolean):
         f = Polynomial.parse("x^2 + x + 1", boolean)
@@ -603,13 +644,17 @@ class TestRawProductCheck:
         cases = list(self.cases())
         fast = [search_factorizations(f, **kw).as_dict() for f, kw in cases]
         monkeypatch.setattr(oracle, "_first_factorization", polynomial_product_driver)
+        monkeypatch.setattr(oracle, "_nat_g_walk", full_nat_walk)
         reference = [search_factorizations(f, **kw).as_dict() for f, kw in cases]
         assert fast == reference
         assert sum(o["result"] == "found" for o in fast) > len(fast) // 10
 
-    def test_budget_sweep_matches_reference(self, monkeypatch, nilpotent3, tropical, gcdnat):
+    def test_budget_sweep_matches_reference(
+        self, monkeypatch, nilpotent3, tropical, gcdnat, nat
+    ):
         # every cut-off from 0 to one past the nodes a full search spends:
-        # a pruned h prefix must be charged every h candidate beneath it
+        # a pruned h prefix must be charged every h candidate beneath it,
+        # and a run of nat g tuples cut by the bounds every g in it
         cases = [
             Polynomial(nilpotent3, (1, 1, 1)),
             Polynomial(nilpotent3, (1, 2)),
@@ -618,6 +663,13 @@ class TestRawProductCheck:
             Polynomial(tropical, (2, 4, 2, 1)),
             Polynomial(gcdnat, (2, 13, 6)),
             Polynomial(gcdnat, (4, 2, 6, 3)),
+            Polynomial(nat, (2, 3, 1)),  # (x + 1)(x + 2)
+            Polynomial(nat, (3, 1, 2, 1, 3)),
+            # degree 6: at b_0 = 1, c_0 = 2 caps a cubic g's middles b_1 at
+            # 1 and b_2 at 0, which cuts whole sub-blocks beneath b_1
+            Polynomial(nat, (2, 2, 1, 3, 1, 3, 2)),
+            Polynomial(nat, (4, 4, 5, 6, 3, 2, 1)),  # (x^3 + x^2 + x + 2)^2
+            Polynomial(nat, (0, 2, 1, 3, 1)),  # a_0 = 0: the plain walk
         ]
         runs = []
         for f in cases:
@@ -625,6 +677,41 @@ class TestRawProductCheck:
             runs += [(f, budget) for budget in (None, *range(nodes + 2))]
         fast = [search_factorizations(f, node_budget=b).as_dict() for f, b in runs]
         monkeypatch.setattr(oracle, "_first_factorization", polynomial_product_driver)
+        monkeypatch.setattr(oracle, "_nat_g_walk", full_nat_walk)
         reference = [search_factorizations(f, node_budget=b).as_dict() for f, b in runs]
         assert fast == reference
         assert {o["result"] for o in fast} == {"found", "none-within-bounds"}
+
+    def test_nat_bounds_match_full_walk(self, nat, monkeypatch):
+        # seeded random polynomials and products of degree 1..7 under
+        # assorted budgets and coefficient bounds, against the walk over
+        # every g tuple
+        rng = random.Random(47)
+        runs = []
+        for _ in range(2000):
+            d = rng.randint(1, 7)
+            if rng.random() < 0.5:
+                top = rng.choice((3, 5, 9))
+                coeffs = [rng.randint(0, top) for _ in range(d)] + [rng.randint(1, top)]
+                if rng.random() < 0.2:
+                    coeffs[0] = 0
+                f = Polynomial(nat, coeffs)
+            else:
+                r = rng.randint(1, max(1, d - 1))
+                g = Polynomial(nat, [rng.randint(0, 3) for _ in range(r)] + [rng.randint(1, 3)])
+                h = Polynomial(
+                    nat, [rng.randint(0, 3) for _ in range(max(1, d - r))] + [rng.randint(1, 3)]
+                )
+                f = g * h
+            budget = rng.choice((None, 0, 1, 3, 50, 300, 2000))
+            runs.append((f, budget, rng.choice((None, None, 0, 1, 2, 4, 7))))
+        fast = [
+            search_factorizations(f, coeff_bound=c, node_budget=b).as_dict() for f, b, c in runs
+        ]
+        monkeypatch.setattr(oracle, "_nat_g_walk", full_nat_walk)
+        reference = [
+            search_factorizations(f, coeff_bound=c, node_budget=b).as_dict() for f, b, c in runs
+        ]
+        assert fast == reference
+        results = {(o["result"], o["complete"]) for o in fast}
+        assert results == {(r, c) for r in ("found", "none-within-bounds") for c in (True, False)}
