@@ -13,12 +13,19 @@ into two non-constant polynomials over the carrier.  NotApplicable makes
 no claim about f either way; the criterion is sufficient, not necessary.
 
 The conditions themselves live in one predicate on raw coefficient
-tuples, ``first_failing_condition``.  ``check_eisenstein`` calls it on a
+tuples, ``first_failing_condition``.  It takes the two membership tests
+of ``Ideal.condition_tests``, raw callables for P and P^2 built once per
+ideal (closed forms of divisibility on the infinite carriers, set
+membership on finite ones).  ``check_eisenstein`` calls it on a
 polynomial's coefficients and the exhaustive scans of the oracle call it
-with set-membership tests.  A report keeps only the first failing
+on raw tuples, with the same tests.
+
+A report is an immutable named tuple that keeps only the first failing
 condition and its witness index: since the conditions are tested in
 order, these fix every membership fact, and ``as_dict`` derives the
-printed evidence from them and the coefficients.
+printed evidence from them and the coefficients.  Building one costs a
+tuple, so a check is the hypothesis lookup, the degree test and a few
+membership calls.
 
 The trace engine replays the underlying argument on a concrete candidate
 factorization g*h.  After normalizing roles so the b-factor has its
@@ -37,7 +44,8 @@ ideal certificate the package builds is exact.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DegreeTooSmallError,
@@ -61,8 +69,10 @@ class Verdict(enum.Enum):
     HYPOTHESIS_NOT_ESTABLISHED = "hypothesis-not-established"
 
 
-@dataclass(frozen=True, slots=True)
-class EisensteinReport:
+class EisensteinReport(NamedTuple):
+    """One criterion check.  Immutable; ``check_corollary`` derives its
+    report with ``_replace``."""
+
     polynomial: Polynomial
     ideal: Ideal
     verdict: Verdict
@@ -193,31 +203,24 @@ def check_eisenstein(
     condition and its witness.  A failed hypothesis is reported as the
     HypothesisNotEstablished verdict with the failing certificate.
     """
-    if f.semiring != P.semiring:
+    S = f.semiring
+    if S is not P.semiring and S != P.semiring:
         raise SemiringMismatchError(
-            f"polynomial over {f.semiring.name}, ideal over {P.semiring.name}"
+            f"polynomial over {S.name}, ideal over {P.semiring.name}"
         )
-    n = f.degree
-    if n is None or n < 1:
+    if len(f.coeffs) < 2:
         raise DegreeTooSmallError("the criterion needs a non-constant polynomial")
     hypothesis = P.predicates(hypothesis_bound)
-    failure = hypothesis.first_failure()
-    if failure is not None:
-        name, _ = failure
+    if not hypothesis.all_hold:
+        name, _ = hypothesis.first_failure()
         return EisensteinReport(
-            f, P, Verdict.HYPOTHESIS_NOT_ESTABLISHED,
-            failing_condition=None, witness_index=None,
-            hypothesis=hypothesis, hypothesis_failure=name,
-            hypothesis_bound=hypothesis_bound,
+            f, P, Verdict.HYPOTHESIS_NOT_ESTABLISHED, None, None,
+            hypothesis, name, hypothesis_bound,
         )
-    failing, index = first_failing_condition(
-        f.coeffs, P.contains_value, P.square().contains_value
-    )
+    failing, index = first_failing_condition(f.coeffs, *P.condition_tests())
     verdict = Verdict.SATISFIED if failing is None else Verdict.NOT_APPLICABLE
     return EisensteinReport(
-        f, P, verdict, failing, index,
-        hypothesis=hypothesis, hypothesis_failure=None,
-        hypothesis_bound=hypothesis_bound,
+        f, P, verdict, failing, index, hypothesis, None, hypothesis_bound
     )
 
 
@@ -249,7 +252,7 @@ def check_corollary(
         route = ROUTE_SEMIRING_FLAGS
     else:
         route = ROUTE_IDEAL_CERTIFICATE
-    return replace(report, hypothesis_route=route)
+    return report._replace(hypothesis_route=route)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +338,8 @@ def proof_trace(
     fmt = S.format_value
     product = g * h
 
-    roles = trace_roles(g.coeffs, h.coeffs, P.contains_value, *S.value_ops())
+    in_p, in_p_square = P.condition_tests()
+    roles = trace_roles(g.coeffs, h.coeffs, in_p, *S.value_ops())
     if roles is None:
         a0 = product.coeff_value(0)
         return TraceReport(
@@ -348,7 +352,7 @@ def proof_trace(
             subtractivity_used=subtractive, nonmember_terms=(),
             hypothesis_bound=hypothesis_bound,
             constant_product=fmt(a0),
-            constant_product_in_square=P.square().contains_value(a0),
+            constant_product_in_square=in_p_square(a0),
         )
 
     b_is_g, m, a_m = roles
@@ -363,7 +367,7 @@ def proof_trace(
     for i in range(0, min(m, b.degree) + 1):
         j = m - i
         value = S.mul_values(b.coeff_value(i), c.coeff_value(j))
-        in_ideal = P.contains_value(value)
+        in_ideal = in_p(value)
         if not in_ideal:
             nonmembers.append(len(terms))
         terms.append(TraceTerm(i, j, fmt(value), in_ideal))
@@ -376,7 +380,7 @@ def proof_trace(
         m=m,
         terms=tuple(terms),
         a_m=fmt(a_m),
-        a_m_in_ideal=P.contains_value(a_m),
+        a_m_in_ideal=in_p(a_m),
         subtractivity_used=subtractive,
         nonmember_terms=tuple(nonmembers),
         hypothesis_bound=hypothesis_bound,

@@ -15,6 +15,14 @@ on tropical-min, and on nat and gcd-nat subtractivity by a bounded scan
 whose note states the argument that makes it exact.  Negative
 certificates always carry a witness that re-checks against the
 definitions.
+
+Membership has two forms.  ``contains_value`` answers one query through
+the carrier's ``divides_values`` (or the element set); ``condition_tests``
+hands out the raw tests for P and P^2 as plain one-argument callables,
+built once per ideal, for the criterion checker, the proof trace and the
+exhaustive scans.  On principal ideals they are the closed forms of
+divisibility: ``v == 0`` or ``v % p == 0`` on nat and gcd-nat, and
+``v == inf`` or ``v >= p`` on tropical-min.
 """
 
 from __future__ import annotations
@@ -82,13 +90,15 @@ class Ideal:
         self.semiring = semiring
         self._predicate_cache: dict[int, IdealPredicateReport] = {}
         self._square = None
+        self._tests = None
 
     def contains_value(self, v) -> bool:
         raise NotImplementedError
 
     def contains(self, a) -> bool:
         """Membership of a raw value, checked with ``check_value`` first;
-        ``contains_value`` is the unchecked form for internal loops."""
+        ``contains_value`` is the unchecked form, and loops take
+        ``condition_tests``."""
         return self.contains_value(self.semiring.check_value(a))
 
     def square(self) -> "Ideal":
@@ -97,6 +107,18 @@ class Ideal:
         return self._square
 
     def _compute_square(self) -> "Ideal":
+        raise NotImplementedError
+
+    def condition_tests(self):
+        """``(in_p, in_p_square)``: membership in P and in P^2 as plain
+        one-argument callables on raw values, agreeing with
+        ``contains_value`` and ``square().contains_value``.  Built once per
+        ideal, so a loop over coefficients pays no dispatch per value."""
+        if self._tests is None:
+            self._tests = (self._membership_test(), self.square()._membership_test())
+        return self._tests
+
+    def _membership_test(self):
         raise NotImplementedError
 
     def predicates(self, bound: int = 0) -> IdealPredicateReport:
@@ -135,6 +157,9 @@ class FiniteSetIdeal(Ideal):
 
     def contains_value(self, v) -> bool:
         return v in self.elements
+
+    def _membership_test(self):
+        return self.elements.__contains__
 
     def sorted_elements(self) -> tuple[int, ...]:
         return tuple(sorted(self.elements))
@@ -202,6 +227,12 @@ class PrincipalIdeal(Ideal):
     def __init__(self, semiring: SemiringDescriptor, generator):
         super().__init__(semiring)
         self.generator = semiring.check_value(generator)
+        if semiring.kind is CarrierKind.FINITE:
+            # its certificates and membership tests are infinite-carrier forms
+            raise SemiringMismatchError(
+                "a principal ideal of a finite carrier is a FiniteSetIdeal; "
+                "use principal_ideal"
+            )
 
     def __eq__(self, other):
         return (
@@ -215,6 +246,17 @@ class PrincipalIdeal(Ideal):
 
     def contains_value(self, v) -> bool:
         return self.semiring.divides_values(self.generator, v)
+
+    def _membership_test(self):
+        # the closed forms of divides_values(p, v) for a fixed p
+        p = self.generator
+        if self.semiring.kind is CarrierKind.TROPICAL_MIN:
+            if p == INFINITY:
+                return lambda v: v == INFINITY
+            return lambda v: v >= p  # inf passes too
+        if p == 0:
+            return lambda v: v == 0
+        return lambda v: v % p == 0
 
     def describe(self) -> str:
         return f"({self.semiring.format_value(self.generator)})"

@@ -57,8 +57,8 @@ becomes Polynomial objects.  Only the candidate rules differ:
 subtractive prime, every polynomial up to a degree cap, and a complete
 search behind every Satisfied verdict.  It and the hunt test the three
 conditions with ``first_failing_condition`` on raw coefficient tuples
-against the ideal's element sets and build a Polynomial only for a tuple
-that meets all three.  ``hunt_subtractivity`` streams enumerated
+with the ideal's ``condition_tests`` and build a Polynomial only for a
+tuple that meets all three.  ``hunt_subtractivity`` streams enumerated
 semirings looking for prime-but-not-subtractive ideals, for genuine
 counterexamples to the criterion-without-subtractivity, and for
 proof-trace near misses where a_m lands in the ideal.  The near-miss
@@ -564,11 +564,6 @@ def _all_coefficient_tuples(S: SemiringDescriptor, max_degree: int):
         yield from itertools.product(*_finite_positions(S, d))
 
 
-def _condition_tests(ideal: FiniteSetIdeal):
-    """Raw membership tests for P and P^2, for ``first_failing_condition``."""
-    return ideal.elements.__contains__, ideal.square().elements.__contains__
-
-
 def verify_theorem(
     semiring, max_degree: int, window: int = DEFAULT_DEGREE_WINDOW
 ) -> TheoremStats:
@@ -599,7 +594,7 @@ def verify_theorem(
     applicable = 0
     witnesses = []
     for ideal in sub_primes:
-        in_p, in_p_square = _condition_tests(ideal)
+        in_p, in_p_square = ideal.condition_tests()
         for tup in tuples:
             if first_failing_condition(tup, in_p, in_p_square)[0] is not None:
                 continue
@@ -753,7 +748,7 @@ def hunt_subtractivity(
 
 
 def _hunt_counterexamples(S, ideal, max_degree, spend, findings, base):
-    in_p, in_p_square = _condition_tests(ideal)
+    in_p, in_p_square = ideal.condition_tests()
     for tup in _all_coefficient_tuples(S, max_degree):
         spend()
         if first_failing_condition(tup, in_p, in_p_square)[0] is not None:
@@ -778,7 +773,7 @@ def _hunt_near_misses(S, ideal, max_degree, spend, findings, base):
     the ideal.  The trace's role rule runs on raw tuples first; only a
     pair with roles, an m and a_m in the ideal is traced."""
     recorded = 0
-    in_p = ideal.elements.__contains__
+    in_p, _ = ideal.condition_tests()
     add, mul = S.value_ops()
     top = min(2, max_degree)
     for dg in range(1, top + 1):

@@ -35,7 +35,7 @@ class Polynomial:
     __slots__ = ("semiring", "coeffs")
 
     def __init__(self, semiring: SemiringDescriptor, coefficients=()):
-        vals = [semiring.check_value(c) for c in coefficients]
+        vals = semiring.check_values(coefficients)
         zero = semiring.zero_value
         while vals and vals[-1] == zero:
             vals.pop()

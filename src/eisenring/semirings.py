@@ -19,7 +19,8 @@ anywhere; the tropical infinity is ``math.inf``.
 Carrier values are plain Python objects: ints (table indices on finite
 carriers) and ``math.inf``.  ``check_value`` validates one where it
 enters the package, at the input edges of polynomials, ideals and the
-classifiers; everything past that edge works on the raw values.
+classifiers, and ``check_values`` a whole coefficient sequence in one
+pass; everything past that edge works on the raw values.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ class SemiringDescriptor:
     pure queries, so instances are safe to share freely.
     """
 
-    __slots__ = ("name", "kind", "table", "flags", "flag_notes", "_key")
+    __slots__ = ("name", "kind", "table", "flags", "flag_notes", "_key",
+                 "zero_value", "one_value")
 
     def __init__(self, name: str, kind: CarrierKind, table: FiniteSemiring | None,
                  flags: CapabilityFlags, flag_notes: dict):
@@ -92,6 +94,13 @@ class SemiringDescriptor:
         self.flags = flags
         self.flag_notes = dict(flag_notes)
         self._key = (name, kind, table)
+        # the distinguished values, as raw carrier values
+        if kind is CarrierKind.FINITE:
+            self.zero_value, self.one_value = table.zero_index, table.one_index
+        elif kind is CarrierKind.TROPICAL_MIN:
+            self.zero_value, self.one_value = INFINITY, 0
+        else:
+            self.zero_value, self.one_value = 0, 1
 
     # -- identity -----------------------------------------------------------
 
@@ -103,24 +112,6 @@ class SemiringDescriptor:
 
     def __repr__(self):
         return f"SemiringDescriptor({self.name!r})"
-
-    # -- distinguished values -----------------------------------------------
-
-    @property
-    def zero_value(self):
-        if self.kind is CarrierKind.FINITE:
-            return self.table.zero_index
-        if self.kind is CarrierKind.TROPICAL_MIN:
-            return INFINITY
-        return 0
-
-    @property
-    def one_value(self):
-        if self.kind is CarrierKind.FINITE:
-            return self.table.one_index
-        if self.kind is CarrierKind.TROPICAL_MIN:
-            return 0
-        return 1
 
     # -- value validation -----------------------------------------------------
 
@@ -142,6 +133,17 @@ class SemiringDescriptor:
         if isinstance(v, int) and v >= 0:
             return int(v)
         raise LiteralError(f"values of {self.name} are naturals, got {v!r}")
+
+    def check_values(self, seq) -> list:
+        """``[check_value(v) for v in seq]`` in one pass: a plain in-range
+        int is taken as it is, and any other value goes through
+        ``check_value``, which normalizes it or raises its LiteralError at
+        the first bad value."""
+        check = self.check_value
+        if self.kind is CarrierKind.FINITE:
+            order = self.table.order
+            return [v if type(v) is int and 0 <= v < order else check(v) for v in seq]
+        return [v if type(v) is int and v >= 0 else check(v) for v in seq]
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -389,18 +391,37 @@ class ElementClassification:
         }
 
 
+# Miller-Rabin with the primes 2..41 as bases is exact below this bound,
+# the least strong pseudoprime to all of them (Sorenson & Webster, Math.
+# Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime_int(p: int) -> bool:
+    """Exact primality: deterministic Miller-Rabin below
+    ``_MR_EXACT_BELOW``, trial division above it."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    if p >= _MR_EXACT_BELOW:
+        return _smallest_factor_pair(p) is None
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -418,7 +439,9 @@ def classify_element(S: SemiringDescriptor, a) -> ElementClassification:
 
     Every verdict is exact.  Finite carriers are decided by the table scans
     in ``tables``.  On nat and gcd-nat the multiplication is the ordinary
-    product, so irreducibility and primality reduce to integer primality.
+    product, so irreducibility and primality reduce to integer primality,
+    decided by ``_is_prime_int``; only a composite is searched for its
+    smallest factor pair, the witness.
     On tropical-min the product is ordinary addition of naturals: the only
     unit is 0 (a + b = 0 forces a = b = 0), the only irreducible is 1, and
     the prime elements are 1 and inf, with the proofs in ``notes``.
@@ -457,23 +480,18 @@ def classify_element(S: SemiringDescriptor, a) -> ElementClassification:
     if S.kind in (CarrierKind.NATURALS, CarrierKind.GCD_NATURALS):
         is_zero = v == 0
         is_unit = v == 1
-        pair = None if v < 2 else _smallest_factor_pair(v)
-        irreducible = v >= 2 and pair is None
+        irreducible = _is_prime_int(v)
+        pair = _smallest_factor_pair(v) if v >= 2 and not irreducible else None
         fact_witness = (fmt(pair[0]), fmt(pair[1])) if pair else None
         if is_zero:
             prime = True
-            nonprime_witness = None
             notes.append("(0) = {0} is prime because the carrier has no zero divisors")
         elif is_unit:
             prime = False
-            nonprime_witness = None
             notes.append("the multiplicative identity is excluded from primality")
-        elif _is_prime_int(v):
-            prime = True
-            nonprime_witness = None
         else:
-            prime = False
-            nonprime_witness = fact_witness
+            prime = irreducible
+        nonprime_witness = fact_witness
         return ElementClassification(
             fmt(v), is_zero, is_unit, irreducible, prime,
             fact_witness, nonprime_witness, notes=tuple(notes),

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -284,6 +285,22 @@ class TestMoreSurfaces:
         assert doc["ideal"] == "{0, 2}"
         assert doc["predicates"]["prime"]["holds"] is True
         assert doc["predicates"]["subtractive"]["holds"] is False
+
+    @pytest.mark.parametrize("semiring,prime", [
+        ("nat", "1000000000000000003"),
+        ("gcd-nat", str(2**61 - 1)),
+    ])
+    def test_ideal_on_large_prime_is_prompt(self, semiring, prime):
+        # the primality certificate is Miller-Rabin, not trial division
+        t0 = time.perf_counter()
+        code, out, _ = invoke(
+            ["--json", "ideal", "--semiring", semiring, "--prime", prime,
+             "--hypothesis-bound", "64"]
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0
+        prime_cert = json.loads(out)["predicates"]["prime"]
+        assert prime_cert["holds"] is True and prime_cert["note"] == "prime integer"
 
     def test_eisenstein_on_table_file(self):
         code, out, _ = invoke(

@@ -8,6 +8,7 @@ from eisenring import (
     INFINITY,
     Polynomial,
     Verdict,
+    builtin_semiring,
     check_corollary,
     check_eisenstein,
     enumerate_ideals,
@@ -52,6 +53,16 @@ class TestCheckEisenstein:
         assert report.verdict is Verdict.NOT_APPLICABLE
         assert report.failing_condition == 3
         assert report.witness_value == 4
+
+    def test_report_is_immutable(self, nat):
+        f = Polynomial.parse("x^2 + 2*x + 2", nat)
+        report = check_eisenstein(f, principal_ideal(nat, 2), BOUND)
+        for field in ("verdict", "failing_condition", "hypothesis_route"):
+            with pytest.raises(AttributeError):
+                setattr(report, field, None)
+        with pytest.raises(AttributeError):
+            report.extra = 1
+        assert report.verdict is Verdict.SATISFIED
 
     def test_condition_one_failure(self, nat):
         f = Polynomial.parse("2*x^2 + 2*x + 2", nat)
@@ -139,10 +150,10 @@ class TestCheckEisenstein:
 
 class TestConditionPredicate:
     def test_set_membership_agrees_with_contains_value(self):
-        # the batch paths of verify_theorem and hunt test raw tuples against
-        # the ideal's element sets; check_eisenstein tests them with
-        # contains_value, and both must give the same first failure for
-        # every ideal and every polynomial up to degree 3
+        # check_eisenstein and the batch paths of verify_theorem and hunt
+        # test raw tuples with condition_tests (the element sets here);
+        # contains_value must give the same first failure for every ideal
+        # and every polynomial up to degree 3
         outcomes = set()
         for order in (2, 3):
             for fs in enumerate_semirings(order):
@@ -150,7 +161,7 @@ class TestConditionPredicate:
                 leads = [v for v in range(order) if v != fs.zero_index]
                 for subset in enumerate_ideals(fs):
                     P = FiniteSetIdeal(S, subset)
-                    in_p, in_p_square = P.elements.__contains__, P.square().elements.__contains__
+                    in_p, in_p_square = P.condition_tests()
                     contains, contains_square = P.contains_value, P.square().contains_value
                     for d in range(4):
                         for lower in itertools.product(range(order), repeat=d):
@@ -160,6 +171,24 @@ class TestConditionPredicate:
                                 assert first_failing_condition(tup, in_p, in_p_square) == want
                                 outcomes.add(want[0])
         assert outcomes == {None, 1, 2, 3}
+
+    @pytest.mark.parametrize("name,p", [
+        (name, p)
+        for name in ("nat", "gcd-nat", "tropical-min")
+        for p in (0, 1, 2, 4, 6, 9, INFINITY)
+        if p != INFINITY or name == "tropical-min"
+    ])
+    def test_principal_tests_agree_with_contains_value(self, name, p):
+        # the closed forms of condition_tests against divides_values, on
+        # P = (p) and P^2, over 0..64 plus inf where inf is a value
+        S = builtin_semiring(name)
+        P = principal_ideal(S, p)
+        in_p, in_p_square = P.condition_tests()
+        assert P.condition_tests() == (in_p, in_p_square)  # built once
+        square = P.square()
+        for v in sample_values(S, 64):
+            assert in_p(v) == P.contains_value(v), v
+            assert in_p_square(v) == square.contains_value(v), v
 
 
 @dataclass(frozen=True)
@@ -326,6 +355,15 @@ class TestCorollary:
         f = Polynomial.parse("x + 6", nat)
         report = check_corollary(f, 6, BOUND)
         assert report.verdict is Verdict.HYPOTHESIS_NOT_ESTABLISHED
+
+    def test_report_is_the_direct_report_with_its_route(self, gcdnat):
+        f = Polynomial.parse("3*x^2 + 2*x + 2", gcdnat)
+        direct = check_eisenstein(f, principal_ideal(gcdnat, 2), BOUND)
+        lowered = check_corollary(f, 2, BOUND)
+        assert direct.hypothesis_route == ROUTE_IDEAL_CERTIFICATE
+        assert lowered.hypothesis_route == ROUTE_SEMIRING_FLAGS
+        assert lowered._replace(hypothesis_route=ROUTE_IDEAL_CERTIFICATE) == direct
+        assert lowered.as_dict()["hypothesis_route"] == ROUTE_SEMIRING_FLAGS
 
     def test_consistency_sample(self, nat, gcdnat):
         rng = random.Random(17)

@@ -11,7 +11,7 @@ from eisenring import (
     principal_ideal,
 )
 from eisenring.errors import BoundRequiredError, SemiringMismatchError
-from eisenring.ideals import FiniteSetIdeal
+from eisenring.ideals import FiniteSetIdeal, PrincipalIdeal
 
 from conftest import sample_values
 
@@ -60,6 +60,12 @@ class TestPrincipal:
         P = principal_ideal(n3, 2)
         assert isinstance(P, FiniteSetIdeal)
         assert P.elements == {0, 2}
+
+    def test_principal_ideal_class_refuses_finite_carrier(self, boolean):
+        # its certificates and membership tests are the infinite-carrier
+        # closed forms; principal_ideal builds the element set instead
+        with pytest.raises(SemiringMismatchError):
+            PrincipalIdeal(boolean, 0)
 
     def test_finite_multiples_equal_closure(self):
         # {s*p} against the general closure fixpoint as the reference

@@ -1,5 +1,6 @@
 import itertools
 import random
+import timeit
 
 import pytest
 
@@ -17,6 +18,7 @@ from eisenring import (
     semidomain_check,
 )
 from eisenring.errors import LiteralError, UnknownSemiringError
+from eisenring.semirings import _is_prime_int
 
 from conftest import sample_values
 
@@ -239,6 +241,79 @@ class TestClassify:
         for x, y in itertools.product(vals, repeat=2):
             if S.divides_values(p, S.mul_values(x, y)):
                 assert S.divides_values(p, x) or S.divides_values(p, y)
+
+
+def _trial_division_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+class TestPrimality:
+    def test_matches_trial_division(self):
+        for n in range(200_000):
+            assert _is_prime_int(n) == _trial_division_prime(n), n
+
+    @pytest.mark.parametrize("n,factor", [
+        (3215031751, 151),  # strong pseudoprime to bases 2, 3, 5, 7
+        (3825123056546413051, 149491),  # strong pseudoprime to bases 2..23
+    ])
+    def test_strong_pseudoprimes_are_composite(self, nat, n, factor):
+        assert not _is_prime_int(n)
+        cls = classify_element(nat, n)
+        assert not cls.is_irreducible and not cls.is_prime_element
+        assert cls.factorization_witness == (str(factor), str(n // factor))
+
+    def test_large_primes(self, nat, gcdnat):
+        for p in (2**31 - 1, 2**61 - 1, 10**18 + 3):
+            assert _is_prime_int(p)
+        # a product of two large primes, which trial division would not
+        # split in reasonable time
+        assert not _is_prime_int((2**31 - 1) * (10**9 + 7))
+        for S in (nat, gcdnat):
+            cls = classify_element(S, 2**61 - 1)
+            assert cls.is_irreducible and cls.is_prime_element
+            assert cls.factorization_witness is None
+
+    def test_mersenne_classification_is_fast(self, nat):
+        # Miller-Rabin, not trial division up to 2^30.5
+        runs = timeit.repeat(lambda: classify_element(nat, 2**61 - 1), number=1, repeat=3)
+        assert min(runs) < 0.01
+
+
+class TestCheckValues:
+    CASES = [
+        ("nat", (3, True, 0)),
+        ("nat", (1, -1, 2)),
+        ("nat", (2, -1, INFINITY)),  # the first bad value raises
+        ("nat", (1, INFINITY)),
+        ("nat", (1, 2.0)),
+        ("tropical-min", (0, INFINITY, 5)),
+        ("tropical-min", (INFINITY, -1)),
+        ("gcd-nat", (4, 6)),
+        ("bool", (1, 2)),  # a finite index equal to the order
+        ("bool", (0, True)),
+        ("bool", ()),
+    ]
+
+    @pytest.mark.parametrize("name,seq", CASES)
+    def test_equals_check_value_per_element(self, name, seq):
+        S = builtin_semiring(name)
+        try:
+            want = [S.check_value(v) for v in seq]
+        except LiteralError as exc:
+            with pytest.raises(LiteralError) as caught:
+                S.check_values(seq)
+            assert str(caught.value) == str(exc)
+        else:
+            got = S.check_values(seq)
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
 
 
 class TestSemidomain:
