@@ -51,6 +51,13 @@ class BudgetError(EisenringError, ValueError):
     """A search was given a negative budget."""
 
 
+class FactoringLimitError(EisenringError):
+    """An integer's primality or smallest factor is past what the package
+    decides exactly: a probable prime at or above the bound where
+    Miller-Rabin is proven exact, or a composite that Pollard-Brent rho
+    did not split within its step budget."""
+
+
 class NotPrimeElementError(EisenringError):
     """The supplied element cannot play the prime-element role."""
 

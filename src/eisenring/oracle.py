@@ -86,11 +86,17 @@ from .errors import (
     OrderTooSmallError,
     WindowOutOfRangeError,
 )
-from .eisenstein import first_failing_condition, proof_trace, trace_roles
+from .eisenstein import trace_roles
 from .ideals import FiniteSetIdeal
 from .polynomials import Polynomial
-from .semirings import INFINITY, CarrierKind, SemiringDescriptor, from_table
-from .tables import enumerate_ideals, enumerate_semirings
+from .semirings import (
+    INFINITY,
+    CarrierKind,
+    SemiringDescriptor,
+    _table_descriptor,
+    from_table,
+)
+from .tables import enumerate_semirings
 
 DEFAULT_DEGREE_WINDOW = 2
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -135,9 +141,11 @@ class _CandidateSpace(NamedTuple):
     """``pair(r, s)`` gives g's coefficient tuples in lexicographic
     order, constant first, and a function from a g tuple to h's
     per-position candidate lists, constant first, or None when that g is
-    ruled out.  An int among the g tuples stands for that many g tuples,
-    at that place in the order, that are ruled out without a look; its h
-    lists are None."""
+    ruled out.  An int among the g tuples stands for a run of g tuples,
+    at that place in the order, that are ruled out without a look, and is
+    the nodes the run costs: one per g tuple on nat, where a ruled-out g
+    costs one node, and every h candidate of each g on a finite table.
+    Its h lists are None."""
 
     pair: Callable
     coefficient_bound: str
@@ -215,8 +223,8 @@ def _first_factorization(f: Polynomial, pairs, pair_space, limit):
     """The first (g, h) in candidate order with g*h == f, or None, and the
     nodes spent: one per full h candidate, and ``limit + 1`` when the
     budget runs out.  A g whose h lists are None was ruled out while they
-    were derived; it costs one node, and the int k that stands for a run
-    of k ruled-out g tuples costs k nodes.
+    were derived; it costs one node.  An int k among the g tuples stands
+    for a run of g tuples ruled out without a look and costs k nodes.
 
     h is walked one position at a time, constant first.  Product
     coefficient j <= s needs only g and h_0..h_j, so it is compared with f
@@ -230,7 +238,10 @@ def _first_factorization(f: Polynomial, pairs, pair_space, limit):
     and the leaf table of a degree pair are built when its first g
     reaches the h walk, so a pair without such a g costs nothing."""
     S = f.semiring
-    add, mul = S.value_ops()
+    if S.kind is CarrierKind.FINITE:
+        walk, ops = _first_table_cofactor, (S.table.add_table, S.table.mul_table)
+    else:
+        walk, ops = _first_cofactor, S.value_ops()
     nodes = 0
     for r, s in pairs:
         g_tuples, h_lists = pair_space(r, s)
@@ -248,7 +259,7 @@ def _first_factorization(f: Polynomial, pairs, pair_space, limit):
                     (target[k], [(i, k - i) for i in range(k - s, r + 1)])
                     for k in range(s + 1, r + s + 1)
                 ]
-            h, nodes = _first_cofactor(add, mul, g, lists, target, top, nodes, limit)
+            h, nodes = walk(*ops, g, lists, target, top, nodes, limit)
             if h is not None:
                 return (Polynomial(S, g), Polynomial(S, h)), nodes
             if nodes > limit:
@@ -309,6 +320,55 @@ def _first_cofactor(add, mul, g, lists, target, top, nodes, limit):
     return None, nodes
 
 
+def _first_table_cofactor(add_rows, mul_rows, g, lists, target, top, nodes, limit):
+    """``_first_cofactor`` on a finite carrier, with the operation tables'
+    rows in place of ``add`` and ``mul``.
+
+    Every full h candidate costs one node whether it is rejected by a
+    prefix or at the leaf, so the nodes a walk spends are the rank of the
+    first h with g*h = target, plus one, or the count of all h candidates
+    when there is none; the budget runs out inside the walk exactly when
+    that total passes ``limit``.  So the walk only finds the first h and
+    charges its nodes in one step.  At position j it keeps the candidates
+    v with ``add_rows[rest][mul_rows[g_0][v]]`` equal to a_j, where rest
+    folds the terms that use h_0..h_(j-1); a g whose row ``mul_rows[g_0]``
+    lacks a_0 keeps no h_0 and is charged its full h count at once."""
+    r, s = len(g) - 1, len(lists) - 1
+    g_rows = [mul_rows[b] for b in g]
+    g0_row = g_rows[0]
+    h = [None] * (s + 1)
+    want = target[0]
+    fits = [iter([v for v in lists[0] if g0_row[v] == want])] + [None] * s
+    j = 0
+    while j >= 0:
+        for v in fits[j]:
+            h[j] = v
+            if j < s:
+                j += 1
+                rest = g_rows[1][h[j - 1]]
+                for i in range(2, min(j, r) + 1):
+                    rest = add_rows[rest][g_rows[i][h[j - i]]]
+                rest_row, want = add_rows[rest], target[j]
+                fits[j] = iter([v for v in lists[j] if rest_row[g0_row[v]] == want])
+                break
+            for a_k, ((i, k), *terms) in top:
+                acc = g_rows[i][h[k]]
+                for i, k in terms:
+                    acc = add_rows[acc][g_rows[i][h[k]]]
+                if acc != a_k:
+                    break
+            else:
+                rank = 0
+                for v, candidates in zip(h, lists):
+                    rank = rank * len(candidates) + candidates.index(v)
+                nodes += rank + 1
+                return (tuple(h), nodes) if nodes <= limit else (None, limit + 1)
+        else:
+            j -= 1
+    nodes += math.prod(map(len, lists))
+    return None, nodes if nodes <= limit else limit + 1
+
+
 def _finite_positions(S: SemiringDescriptor, d: int) -> list:
     """Coefficient candidates of a degree-d polynomial over a finite
     carrier, constant first: every element, then a nonzero leader."""
@@ -321,7 +381,12 @@ def _finite_space(f: Polynomial, pairs, window, coeff_bound) -> _CandidateSpace:
 
     def pair(r, s):
         h_positions = _finite_positions(S, s)
-        return itertools.product(*_finite_positions(S, r)), lambda g_tup: h_positions
+        h_count = math.prod(map(len, h_positions))
+
+        def h_lists(g):  # an int stands for a run of g tuples the walk ruled out
+            return None if type(g) is int else h_positions
+
+        return _finite_g_walk(S, f.coeffs[0], r, h_count), h_lists
 
     note = (
         "all coefficient tuples; degrees add exactly on an entire carrier"
@@ -329,6 +394,21 @@ def _finite_space(f: Polynomial, pairs, window, coeff_bound) -> _CandidateSpace:
         else f"all coefficient tuples within the degree window (window={window})"
     )
     return _CandidateSpace(pair, "all carrier elements", True, note)
+
+
+def _finite_g_walk(S: SemiringDescriptor, a0, r, h_count):
+    """The degree-r g tuples over ``_finite_positions`` in lexicographic
+    order, constant first, with the run of tuples that share a constant
+    term b_0 given as its node count when no h_0 has b_0*h_0 = a_0: each
+    such g costs its ``h_count`` full h candidates, all rejected at h_0."""
+    consts, *rest = _finite_positions(S, r)
+    run = math.prod(map(len, rest)) * h_count
+    mul_rows = S.table.mul_table
+    for b0 in consts:
+        if a0 in mul_rows[b0]:
+            yield from itertools.product((b0,), *rest)
+        else:
+            yield run
 
 
 def _nat_space(f: Polynomial, pairs, window, coeff_bound) -> _CandidateSpace:
@@ -557,11 +637,38 @@ class TheoremStats:
         }
 
 
-def _all_coefficient_tuples(S: SemiringDescriptor, max_degree: int):
-    """The coefficient tuple of every canonical polynomial of degree
-    1..max_degree over a finite carrier, in a fixed lexicographic order."""
+def _coefficient_tuple_count(S: SemiringDescriptor, max_degree: int) -> int:
+    """The number of canonical polynomials of degree 1..max_degree over a
+    finite carrier: k^d * (k - 1) of degree d, with k elements."""
+    k = S.table.order
+    return sum(k**d * (k - 1) for d in range(1, max_degree + 1))
+
+
+def _applicable_tuples(S: SemiringDescriptor, max_degree: int, in_p, in_p_square):
+    """Every coefficient tuple of degree 1..max_degree over a finite
+    carrier that meets the three conditions, with its rank among all
+    ``_coefficient_tuple_count`` canonical tuples: degree by degree, each
+    in lexicographic order over the positions of ``_finite_positions``.
+
+    A tuple meets them exactly when a_0 lies in P but not in P^2, a_1 ..
+    a_(d-1) lie in P and the lead lies outside P, so the product of those
+    filtered element lists is the subsequence of the full scan that
+    ``first_failing_condition`` accepts, in the same order.  P holds zero,
+    so every lead outside it is nonzero."""
+    elements = range(S.table.order)
+    k = len(elements)
+    members = [v for v in elements if in_p(v)]
+    consts = [v for v in members if not in_p_square(v)]
+    leads = [v for v in elements if not in_p(v)]
+    lead_rank = {v: i for i, v in enumerate(_finite_positions(S, 0)[0])}
+    offset = 0  # the tuples of lower degree
     for d in range(1, max_degree + 1):
-        yield from itertools.product(*_finite_positions(S, d))
+        for tup in itertools.product(consts, *[members] * (d - 1), leads):
+            rank = 0
+            for v in tup[:-1]:
+                rank = rank * k + v
+            yield offset + rank * (k - 1) + lead_rank[tup[-1]], tup
+        offset += k**d * (k - 1)
 
 
 def verify_theorem(
@@ -587,17 +694,12 @@ def verify_theorem(
             f"verify_theorem supports max_degree in 1..{MAX_VERIFY_DEGREE}, got {max_degree}"
         )
     _check_window(window)
-    ideal_sets = enumerate_ideals(fs)
-    ideals = [FiniteSetIdeal(S, subset) for subset in ideal_sets]
+    ideals = [FiniteSetIdeal(S, subset) for subset in S.ideal_sets]
     sub_primes = [i for i in ideals if i.predicates().all_hold]
-    tuples = list(_all_coefficient_tuples(S, max_degree))
     applicable = 0
     witnesses = []
     for ideal in sub_primes:
-        in_p, in_p_square = ideal.condition_tests()
-        for tup in tuples:
-            if first_failing_condition(tup, in_p, in_p_square)[0] is not None:
-                continue
+        for _, tup in _applicable_tuples(S, max_degree, *ideal.condition_tests()):
             applicable += 1
             f = Polynomial(S, tup)
             outcome = search_factorizations(f, window=window, node_budget=None)
@@ -615,7 +717,7 @@ def verify_theorem(
         ideals_found=len(ideals),
         subtractive_primes=len(sub_primes),
         subtractive_prime_sets=tuple(i.describe() for i in sub_primes),
-        polynomials_scanned=len(tuples),
+        polynomials_scanned=_coefficient_tuple_count(S, max_degree),
         criterion_applicable=applicable,
         violations=len(witnesses),
         violation_witnesses=tuple(witnesses),
@@ -716,8 +818,8 @@ def hunt_subtractivity(
             for fs in enumerate_semirings(order):
                 spend()
                 examined += 1
-                S = from_table(fs)
-                for subset in enumerate_ideals(fs):
+                S = _table_descriptor(fs)
+                for subset in S.ideal_sets:
                     ideal = FiniteSetIdeal(S, subset)
                     preds = ideal.predicates()
                     if not (preds.proper.holds and preds.prime.holds):
@@ -748,11 +850,14 @@ def hunt_subtractivity(
 
 
 def _hunt_counterexamples(S, ideal, max_degree, spend, findings, base):
-    in_p, in_p_square = ideal.condition_tests()
-    for tup in _all_coefficient_tuples(S, max_degree):
-        spend()
-        if first_failing_condition(tup, in_p, in_p_square)[0] is not None:
-            continue
+    """Search every polynomial that meets the three conditions against the
+    ideal.  The budget is charged one unit per canonical tuple, as a scan
+    of every tuple would be: the tuples up to each applicable one are
+    charged just before it is searched, and the rest at the end."""
+    charged = 0
+    for rank, tup in _applicable_tuples(S, max_degree, *ideal.condition_tests()):
+        spend(rank + 1 - charged)
+        charged = rank + 1
         f = Polynomial(S, tup)
         outcome = search_factorizations(f, window=DEFAULT_DEGREE_WINDOW, node_budget=None)
         if outcome.found:
@@ -766,12 +871,15 @@ def _hunt_counterexamples(S, ideal, max_degree, spend, findings, base):
                     },
                 )
             )
+    spend(_coefficient_tuple_count(S, max_degree) - charged)
 
 
 def _hunt_near_misses(S, ideal, max_degree, spend, findings, base):
-    """Record proof traces of degree <= 2 factor pairs whose a_m lies in
-    the ideal.  The trace's role rule runs on raw tuples first; only a
-    pair with roles, an m and a_m in the ideal is traced."""
+    """Record the proof-trace facts of degree <= 2 factor pairs whose a_m
+    lies in the ideal: m, a_m and the indices i of the terms b_i*c_(m-i)
+    outside it, the trace's ``nonmember_terms``.  The trace's role rule,
+    ``trace_roles``, runs on raw tuples, and only g, h and a_m of a
+    recorded pair are formatted."""
     recorded = 0
     in_p, _ = ideal.condition_tests()
     add, mul = S.value_ops()
@@ -784,20 +892,22 @@ def _hunt_near_misses(S, ideal, max_degree, spend, findings, base):
                     roles = trace_roles(g_tup, h_tup, in_p, add, mul)
                     if roles is None:
                         continue
-                    _, m, a_m = roles
+                    b_is_g, m, a_m = roles
                     if m is None or not in_p(a_m):
                         continue
-                    g, h = Polynomial(S, g_tup), Polynomial(S, h_tup)
-                    trace = proof_trace(g, h, ideal)
+                    b, c = (g_tup, h_tup) if b_is_g else (h_tup, g_tup)
                     findings.append(
                         Finding(
                             **{**base, "kind": KIND_TRACE_NEAR_MISS},
                             detail={
-                                "g": g.format(),
-                                "h": h.format(),
-                                "m": trace.m,
-                                "a_m": trace.a_m,
-                                "nonmember_terms": list(trace.nonmember_terms),
+                                "g": Polynomial(S, g_tup).format(),
+                                "h": Polynomial(S, h_tup).format(),
+                                "m": m,
+                                "a_m": S.format_value(a_m),
+                                "nonmember_terms": [
+                                    i for i in range(min(m, len(b) - 1) + 1)
+                                    if not in_p(mul(b[i], c[m - i]))
+                                ],
                             },
                         )
                     )

@@ -26,12 +26,18 @@ pass; everything past that edge works on the raw values.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import AxiomCheckFailedError, LiteralError, UnknownSemiringError
+from .errors import (
+    AxiomCheckFailedError,
+    FactoringLimitError,
+    LiteralError,
+    UnknownSemiringError,
+)
 from .tables import (
     FiniteSemiring,
     cancellation_violation,
@@ -83,16 +89,19 @@ class SemiringDescriptor:
     pure queries, so instances are safe to share freely.
     """
 
-    __slots__ = ("name", "kind", "table", "flags", "flag_notes", "_key",
+    __slots__ = ("name", "kind", "table", "flags", "flag_notes", "ideal_sets", "_key",
                  "zero_value", "one_value")
 
     def __init__(self, name: str, kind: CarrierKind, table: FiniteSemiring | None,
-                 flags: CapabilityFlags, flag_notes: dict):
+                 flags: CapabilityFlags, flag_notes: dict,
+                 ideal_sets: tuple[tuple[int, ...], ...] | None = None):
         self.name = name
         self.kind = kind
         self.table = table
         self.flags = flags
         self.flag_notes = dict(flag_notes)
+        # every ideal of a finite table, as enumerate_ideals lists them
+        self.ideal_sets = ideal_sets
         self._key = (name, kind, table)
         # the distinguished values, as raw carrier values
         if kind is CarrierKind.FINITE:
@@ -271,10 +280,12 @@ _TROPICAL_NOTES = {
 _COMPUTED_NOTE = "computed exhaustively from the operation tables"
 
 
-def _finite_flags(fs: FiniteSemiring) -> CapabilityFlags:
-    """Compute every capability flag from the tables.  The ideal-based flags
-    need enumerate_ideals, which refuses orders above its subset-scan cap;
-    it runs first, so such a table fails before the cubic scans."""
+def _finite_flags(fs: FiniteSemiring):
+    """Every capability flag of a table that satisfies the axioms, and its
+    ideals as ``enumerate_ideals`` lists them.  The ideal-based flags need
+    enumerate_ideals, which refuses orders above its subset-scan cap; it
+    runs first, so such a table fails before the cubic scans.  Each fact
+    is decided once: the units, and whether each ideal is subtractive."""
     ideals = enumerate_ideals(fs)
     n = fs.order
     rng = range(n)
@@ -283,16 +294,17 @@ def _finite_flags(fs: FiniteSemiring) -> CapabilityFlags:
 
     entire = all(mul[a][b] != z for a in rng for b in rng if a != z and b != z)
     semidomain = cancellation_violation(fs) is None
-    all_subtractive = all(subtractive_violation(fs, i) is None for i in ideals)
+    subtractive = [subtractive_violation(fs, i) is None for i in ideals]
+    all_subtractive = all(subtractive)
     weak_gaussian = all(
-        subtractive_violation(fs, i) is None
-        for i in ideals
+        sub
+        for i, sub in zip(ideals, subtractive)
         if len(i) < n and prime_violation(fs, i) is None
     )
 
     unit = units(fs)
     nonunits = [a for a in rng if a != z and a not in unit]
-    irreducibles = {a for a in nonunits if factor_pair(fs, a) is None}
+    irreducibles = {a for a in nonunits if factor_pair(fs, a, unit) is None}
     primes = set()
     for p in rng:
         if p == o:
@@ -312,7 +324,7 @@ def _finite_flags(fs: FiniteSemiring) -> CapabilityFlags:
         and irreducibles <= primes
         and all(a in reachable for a in nonunits)
     )
-    return CapabilityFlags(
+    flags = CapabilityFlags(
         is_finite=True,
         is_semidomain=semidomain,
         is_entire=entire,
@@ -320,6 +332,7 @@ def _finite_flags(fs: FiniteSemiring) -> CapabilityFlags:
         is_factorial=factorial,
         is_weak_gaussian=weak_gaussian,
     )
+    return flags, tuple(ideals)
 
 
 def from_table(fs: FiniteSemiring, name: str | None = None) -> SemiringDescriptor:
@@ -328,10 +341,16 @@ def from_table(fs: FiniteSemiring, name: str | None = None) -> SemiringDescripto
     if not report.all_pass:
         failed = ", ".join(r.name for r in report.failures())
         raise AxiomCheckFailedError(f"axioms failed: {failed}", report=report)
-    flags = _finite_flags(fs)
+    return _table_descriptor(fs, name)
+
+
+def _table_descriptor(fs: FiniteSemiring, name: str | None = None) -> SemiringDescriptor:
+    """``from_table`` without the axiom check, for a table known to
+    satisfy the axioms, such as one ``enumerate_semirings`` built."""
+    flags, ideal_sets = _finite_flags(fs)
     notes = {flag: _COMPUTED_NOTE for flag in flags.as_dict()}
     return SemiringDescriptor(
-        name or f"finite-{fs.digest()}", CarrierKind.FINITE, fs, flags, notes
+        name or f"finite-{fs.digest()}", CarrierKind.FINITE, fs, flags, notes, ideal_sets
     )
 
 
@@ -399,15 +418,15 @@ _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime_int(p: int) -> bool:
-    """Exact primality: deterministic Miller-Rabin below
-    ``_MR_EXACT_BELOW``, trial division above it."""
+    """Exact primality by deterministic Miller-Rabin.  A base that
+    witnesses compositeness is a proof at any size; a p at or above
+    ``_MR_EXACT_BELOW`` that no base refutes raises FactoringLimitError,
+    since no proof of its primality is at hand."""
     if p < 2:
         return False
     for q in _MR_BASES:
         if p % q == 0:
             return p == q
-    if p >= _MR_EXACT_BELOW:
-        return _smallest_factor_pair(p) is None
     d, s = p - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -422,16 +441,80 @@ def _is_prime_int(p: int) -> bool:
                 break
         else:
             return False
+    if p >= _MR_EXACT_BELOW:
+        raise FactoringLimitError(
+            f"{p} passes Miller-Rabin, which is proven exact only below {_MR_EXACT_BELOW}"
+        )
     return True
 
 
+_TRIAL_DIVISORS_UP_TO = 1000  # trial division finds every factor up to here
+_RHO_STEP_BUDGET = 1 << 18  # rho squarings per factorization: 0.3 s on a 2-CPU x86 host
+
+
 def _smallest_factor_pair(a: int):
-    d = 2
-    while d * d <= a:
+    """(d, a // d) for the smallest prime factor d of a composite a, else
+    None.  Factors up to ``_TRIAL_DIVISORS_UP_TO`` are found by trial
+    division; past that, Pollard-Brent rho splits a into prime factors,
+    each proven prime by ``_is_prime_int``, and the least one is d.  rho
+    shares ``_RHO_STEP_BUDGET`` squarings across the whole factorization
+    and raises FactoringLimitError when they run out, as does
+    ``_is_prime_int`` on a factor it cannot decide."""
+    for d in range(2, min(math.isqrt(a), _TRIAL_DIVISORS_UP_TO) + 1):
         if a % d == 0:
             return (d, a // d)
-        d += 1
-    return None
+    if a < 4 or _is_prime_int(a):
+        return None
+    budget = [_RHO_STEP_BUDGET]
+    smallest = a
+    pending = [a]
+    while pending:
+        m = pending.pop()
+        if _is_prime_int(m):
+            smallest = min(smallest, m)
+            continue
+        d = _rho_factor(m, budget)
+        pending += [d, m // d]
+    return (smallest, a // smallest)
+
+
+def _rho_factor(n: int, budget: list) -> int:
+    """A factor 1 < d < n of the composite n, which has no factor up to
+    ``_TRIAL_DIVISORS_UP_TO``, by Brent's variant of Pollard's rho with
+    f(y) = y^2 + c, c = 1, 2, ... and start 2: differences are multiplied
+    together in batches and the gcd is taken once per batch, going back
+    over the last batch one step at a time when it overshoots to n.
+    ``budget[0]`` holds the squarings left; running out raises
+    FactoringLimitError."""
+    batch = 128
+    for c in itertools.count(1):
+        y, q, g, r = 2, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            budget[0] -= r
+            if budget[0] < 0:
+                raise FactoringLimitError(
+                    f"no factor of {n} within {_RHO_STEP_BUDGET} Pollard-Brent steps"
+                )
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def classify_element(S: SemiringDescriptor, a) -> ElementClassification:
@@ -454,8 +537,9 @@ def classify_element(S: SemiringDescriptor, a) -> ElementClassification:
     if S.kind is CarrierKind.FINITE:
         fs = S.table
         is_zero = v == fs.zero_index
-        is_unit = v in units(fs)
-        pair = None if is_zero or is_unit else factor_pair(fs, v)
+        unit = units(fs)
+        is_unit = v in unit
+        pair = None if is_zero or is_unit else factor_pair(fs, v, unit)
         irreducible = not is_zero and not is_unit and pair is None
         fact_witness = (fmt(pair[0]), fmt(pair[1])) if pair else None
         prime = False

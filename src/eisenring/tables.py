@@ -146,68 +146,76 @@ def check_axioms(fs: FiniteSemiring) -> AxiomReport:
 
     Identity, distributivity and absorption are checked on both sides so
     the per-axiom verdicts stay truthful even on tables whose
-    commutativity is already broken.
+    commutativity is already broken.  Each scan is a loop over table rows
+    that stops at its first counterexample.
     """
     n = fs.order
     add, mul = fs.add_table, fs.mul_table
     z, o = fs.zero_index, fs.one_index
-    rng = range(n)
-    results = [
+    results = (
         AxiomResult("add-commutative", *_commutes(add, n)),
         AxiomResult("add-associative", *_associates(add, n)),
-        AxiomResult(
-            "add-identity",
-            *_first_failure(((a,) for a in rng if add[a][z] != a or add[z][a] != a)),
-        ),
+        AxiomResult("add-identity", *_identity(add, z, n)),
         AxiomResult("mul-commutative", *_commutes(mul, n)),
         AxiomResult("mul-associative", *_associates(mul, n)),
-        AxiomResult(
-            "mul-identity",
-            *_first_failure(((a,) for a in rng if mul[a][o] != a or mul[o][a] != a)),
-        ),
-        AxiomResult(
-            "distributive",
-            *_first_failure(
-                (
-                    (a, b, c)
-                    for a in rng
-                    for b in rng
-                    for c in rng
-                    if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]
-                    or mul[add[b][c]][a] != add[mul[b][a]][mul[c][a]]
-                )
-            ),
-        ),
-        AxiomResult(
-            "zero-absorbing",
-            *_first_failure(((s,) for s in rng if mul[s][z] != z or mul[z][s] != z)),
-        ),
-    ]
-    return AxiomReport(fs, tuple(results))
+        AxiomResult("mul-identity", *_identity(mul, o, n)),
+        AxiomResult("distributive", *_distributes(add, mul, n)),
+        AxiomResult("zero-absorbing", *_absorbs(mul, z, n)),
+    )
+    return AxiomReport(fs, results)
 
 
-def _first_failure(violations):
-    cx = next(violations, None)
-    return (cx is None, cx)
-
+# Each scan returns (holds, first counterexample or None).
 
 def _commutes(table, n):
-    return _first_failure(
-        ((a, b) for a in range(n) for b in range(a + 1, n) if table[a][b] != table[b][a])
-    )
+    for a in range(n):
+        row_a = table[a]
+        for b in range(a + 1, n):
+            if row_a[b] != table[b][a]:
+                return False, (a, b)
+    return True, None
 
 
 def _associates(table, n):
     rng = range(n)
-    return _first_failure(
-        (
-            (a, b, c)
-            for a in rng
-            for b in rng
-            for c in rng
-            if table[table[a][b]][c] != table[a][table[b][c]]
-        )
-    )
+    for a in rng:
+        row_a = table[a]
+        for b in rng:
+            row_ab, row_b = table[row_a[b]], table[b]
+            for c in rng:
+                if row_ab[c] != row_a[row_b[c]]:
+                    return False, (a, b, c)
+    return True, None
+
+
+def _identity(table, e, n):
+    row_e = table[e]
+    for a in range(n):
+        if table[a][e] != a or row_e[a] != a:
+            return False, (a,)
+    return True, None
+
+
+def _distributes(add, mul, n):
+    """a(b + c) = ab + ac and (b + c)a = ba + ca."""
+    rng = range(n)
+    for a in rng:
+        mul_a = mul[a]
+        for b in rng:
+            add_b, add_ab, add_ba = add[b], add[mul_a[b]], add[mul[b][a]]
+            for c in rng:
+                bc = add_b[c]
+                if mul_a[bc] != add_ab[mul_a[c]] or mul[bc][a] != add_ba[mul[c][a]]:
+                    return False, (a, b, c)
+    return True, None
+
+
+def _absorbs(mul, z, n):
+    row_z = mul[z]
+    for s in range(n):
+        if mul[s][z] != z or row_z[s] != z:
+            return False, (s,)
+    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +272,10 @@ def units(fs: FiniteSemiring) -> frozenset:
     return frozenset(a for a in range(fs.order) if any(row[a] == o for row in fs.mul_table))
 
 
-def factor_pair(fs: FiniteSemiring, v):
+def factor_pair(fs: FiniteSemiring, v, unit: frozenset):
     """First (s1, s2) in row-major order with s1*s2 = v and neither factor
-    a unit, else None.  A nonzero non-unit without one is irreducible."""
-    unit = units(fs)
+    in ``unit``, the set ``units(fs)``, else None.  A nonzero non-unit
+    without one is irreducible."""
     rng = range(fs.order)
     mul = fs.mul_table
     return next(
@@ -292,20 +300,16 @@ def multiples(fs: FiniteSemiring, p) -> frozenset:
 def cancellation_violation(fs: FiniteSemiring):
     """First (a, b, c) with a != 0, b < c and ab = ac, else None.  Rows a
     are scanned in order and, within a row, c before b, so the triple is
-    the first repeated product of the first row that has one."""
-    rng = range(fs.order)
+    the first repeated product of the first row that has one: the first
+    row with fewer than n distinct products."""
+    n = fs.order
+    rng = range(n)
     mul, z = fs.mul_table, fs.zero_index
-    return next(
-        (
-            (a, b, c)
-            for a in rng
-            if a != z
-            for c in rng
-            for b in rng
-            if b < c and mul[a][b] == mul[a][c]
-        ),
-        None,
-    )
+    a = next((a for a in rng if a != z and len(set(mul[a])) < n), None)
+    if a is None:
+        return None
+    row = mul[a]
+    return next((a, b, c) for c in rng for b in range(c) if row[b] == row[c])
 
 
 def enumerate_ideals(fs: FiniteSemiring):

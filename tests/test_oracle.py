@@ -164,6 +164,12 @@ def full_nat_walk(a, r, cap, consts, leads):
     return lazy_product(consts, *[range(cap + 1)] * (r - 1), leads)
 
 
+def full_finite_g_walk(S, a0, r, h_count):
+    """Reference for ``oracle._finite_g_walk``: every g tuple over the
+    finite positions, in the same order, none ruled out at h_0."""
+    return itertools.product(*oracle._finite_positions(S, r))
+
+
 def polynomial_product_driver(f, pairs, pair_space, limit):
     """Reference for ``oracle._first_factorization``: the same candidates,
     order and node rule, but every full h tuple is expanded with
@@ -645,6 +651,7 @@ class TestRawProductCheck:
         fast = [search_factorizations(f, **kw).as_dict() for f, kw in cases]
         monkeypatch.setattr(oracle, "_first_factorization", polynomial_product_driver)
         monkeypatch.setattr(oracle, "_nat_g_walk", full_nat_walk)
+        monkeypatch.setattr(oracle, "_finite_g_walk", full_finite_g_walk)
         reference = [search_factorizations(f, **kw).as_dict() for f, kw in cases]
         assert fast == reference
         assert sum(o["result"] == "found" for o in fast) > len(fast) // 10
@@ -678,6 +685,7 @@ class TestRawProductCheck:
         fast = [search_factorizations(f, node_budget=b).as_dict() for f, b in runs]
         monkeypatch.setattr(oracle, "_first_factorization", polynomial_product_driver)
         monkeypatch.setattr(oracle, "_nat_g_walk", full_nat_walk)
+        monkeypatch.setattr(oracle, "_finite_g_walk", full_finite_g_walk)
         reference = [search_factorizations(f, node_budget=b).as_dict() for f, b in runs]
         assert fast == reference
         assert {o["result"] for o in fast} == {"found", "none-within-bounds"}
