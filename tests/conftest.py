@@ -5,6 +5,7 @@ import pytest
 from eisenring import (
     INFINITY,
     CarrierKind,
+    FiniteSemiring,
     builtin_semiring,
     enumerate_semirings,
     from_table,
@@ -13,6 +14,39 @@ from eisenring import (
 
 TABLES_DIR = Path(__file__).resolve().parent.parent / "tables"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def single_cell_mutations(fs):
+    """Every table that differs from fs in exactly one cell of its add or
+    mul table: ``(which, i, j, v, mutated)`` with cell (i, j) of the
+    ``which`` table set to v."""
+    n = fs.order
+    for which in ("add", "mul"):
+        source = fs.add_table if which == "add" else fs.mul_table
+        for i in range(n):
+            for j in range(n):
+                for v in range(n):
+                    if v == source[i][j]:
+                        continue
+                    table = [list(row) for row in source]
+                    table[i][j] = v
+                    table = tuple(tuple(row) for row in table)
+                    yield which, i, j, v, FiniteSemiring(
+                        n,
+                        fs.element_names,
+                        table if which == "add" else fs.add_table,
+                        fs.mul_table if which == "add" else table,
+                    )
+
+
+def table_fact_inputs():
+    """The 44 enumerated tables of order 2..4 and every single-cell
+    mutation of those of order <= 3."""
+    for order in (2, 3, 4):
+        for fs in enumerate_semirings(order):
+            yield fs
+            if order < 4:
+                yield from (m for *_, m in single_cell_mutations(fs))
 
 
 def sample_values(S, bound):

@@ -33,7 +33,7 @@ from eisenring import (
 from eisenring.cli import run_cli
 from eisenring.tables import FiniteSemiring
 
-from conftest import GOLDEN_DIR, TABLES_DIR, sample_values
+from conftest import GOLDEN_DIR, TABLES_DIR, sample_values, single_cell_mutations
 
 
 def _report(criterion, detail):
@@ -246,38 +246,22 @@ def test_criterion_7_axiom_mutation_kill_rate():
     breaking = 0
     killed = 0
     for fs in tables:
-        n = fs.order
-        for which in ("add", "mul"):
-            source = fs.add_table if which == "add" else fs.mul_table
-            for i in range(n):
-                for j in range(n):
-                    for v in range(n):
-                        if v == source[i][j]:
-                            continue
-                        table = [list(row) for row in source]
-                        table[i][j] = v
-                        table = tuple(tuple(row) for row in table)
-                        mutated = FiniteSemiring(
-                            n,
-                            fs.element_names,
-                            table if which == "add" else fs.add_table,
-                            fs.mul_table if which == "add" else table,
-                        )
-                        mutations += 1
-                        broken = _independent_axiom_failures(mutated)
-                        report = check_axioms(mutated)
-                        failing = {r.name for r in report.failures()}
-                        assert failing == broken, (which, i, j, v, failing, broken)
-                        if not broken:
-                            continue
-                        breaking += 1
-                        killed += 1
-                        for result in report.failures():
-                            assert result.counterexample is not None
-                            assert _RECHECK[result.name](mutated, result.counterexample), (
-                                result.name,
-                                result.counterexample,
-                            )
+        for which, i, j, v, mutated in single_cell_mutations(fs):
+            mutations += 1
+            broken = _independent_axiom_failures(mutated)
+            report = check_axioms(mutated)
+            failing = {r.name for r in report.failures()}
+            assert failing == broken, (which, i, j, v, failing, broken)
+            if not broken:
+                continue
+            breaking += 1
+            killed += 1
+            for result in report.failures():
+                assert result.counterexample is not None
+                assert _RECHECK[result.name](mutated, result.counterexample), (
+                    result.name,
+                    result.counterexample,
+                )
     assert killed == breaking
     _report(
         7,

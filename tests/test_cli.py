@@ -302,6 +302,26 @@ class TestMoreSurfaces:
         prime_cert = json.loads(out)["predicates"]["prime"]
         assert prime_cert["holds"] is True and prime_cert["note"] == "prime integer"
 
+    def test_ideal_on_large_semiprime_is_prompt(self):
+        # the factor witness comes from Pollard-Brent rho, not trial division
+        t0 = time.perf_counter()
+        code, out, _ = invoke(
+            ["--json", "ideal", "--semiring", "nat", "--prime", str((2**31 - 1) * (10**9 + 7)),
+             "--hypothesis-bound", "64"]
+        )
+        assert time.perf_counter() - t0 < 1.0
+        prime_cert = json.loads(out)["predicates"]["prime"]
+        assert prime_cert["holds"] is False
+        assert prime_cert["witness"] == [str(10**9 + 7), str(2**31 - 1)]
+        assert code == 2  # an answer: not all predicates hold
+
+    def test_ideal_past_exact_primality_exits_1(self):
+        t0 = time.perf_counter()
+        code, out, err = invoke(["ideal", "--semiring", "nat", "--prime", str(2**89 - 1)])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1 and out == ""
+        assert "Miller-Rabin" in err
+
     def test_eisenstein_on_table_file(self):
         code, out, _ = invoke(
             ["--json", "eisenstein", "--file", N3, "--ideal-gens", "2", "x + 2"]

@@ -6,9 +6,11 @@ import pytest
 
 from eisenring import (
     INFINITY,
+    FiniteSetIdeal,
     Polynomial,
     boolean_table,
     builtin_semiring,
+    enumerate_ideals,
     enumerate_semirings,
     from_table,
     hunt_subtractivity,
@@ -27,6 +29,7 @@ from eisenring.errors import (
     WindowOutOfRangeError,
 )
 from eisenring import oracle, proof_trace
+from eisenring.eisenstein import first_failing_condition
 from eisenring.oracle import (
     KIND_CRITERION_COUNTEREXAMPLE,
     KIND_NON_SUBTRACTIVE_PRIME,
@@ -191,6 +194,92 @@ def polynomial_product_driver(f, pairs, pair_space, limit):
                 if g * h == f:
                     return (g, h), nodes
     return None, nodes
+
+
+def finite_search_polynomials():
+    """Every polynomial of degree 1..3 over every semiring of order <= 3,
+    and over every semiring of order 4 a seeded sample of four of degree
+    1..2: all of those would cost the Polynomial-product reference about
+    20 s."""
+    rng = random.Random(16)
+    for order in (2, 3, 4):
+        for fs in enumerate_semirings(order):
+            S = from_table(fs)
+            polys = [
+                Polynomial(S, tup)
+                for d in ((1, 2) if order == 4 else (1, 2, 3))
+                for tup in itertools.product(range(order), repeat=d + 1)
+                if tup[-1] != 0
+            ]
+            yield from (polys if order < 4 else rng.sample(polys, 4))
+
+
+def canonical_tuples(S, max_degree):
+    """Every canonical coefficient tuple of degree 1..max_degree over a
+    finite carrier, degree by degree, each in lexicographic order."""
+    k = S.table.order
+    for d in range(1, max_degree + 1):
+        for tup in itertools.product(range(k), repeat=d + 1):
+            if tup[-1] != S.zero_value:
+                yield tup
+
+
+def scan_every_tuple_verify(S, max_degree, window):
+    """Reference for ``verify_theorem``: the ideals from ``enumerate_ideals``,
+    and every canonical tuple tested with ``first_failing_condition``."""
+    ideals = [FiniteSetIdeal(S, subset) for subset in enumerate_ideals(S.table)]
+    sub_primes = [i for i in ideals if i.predicates().all_hold]
+    tuples = list(canonical_tuples(S, max_degree))
+    applicable, witnesses = 0, []
+    for ideal in sub_primes:
+        for tup in tuples:
+            if first_failing_condition(
+                tup, ideal.contains_value, ideal.square().contains_value
+            )[0] is not None:
+                continue
+            applicable += 1
+            f = Polynomial(S, tup)
+            outcome = search_factorizations(f, window=window, node_budget=None)
+            if outcome.found:
+                witnesses.append({
+                    "polynomial": f.format(), "ideal": ideal.describe(),
+                    "g": outcome.g.format(), "h": outcome.h.format(),
+                })
+    return {
+        "semiring_id": S.table.digest(),
+        "order": S.table.order,
+        "max_degree": max_degree,
+        "window": window,
+        "ideals_found": len(ideals),
+        "subtractive_primes": len(sub_primes),
+        "subtractive_prime_sets": [i.describe() for i in sub_primes],
+        "polynomials_scanned": len(tuples),
+        "criterion_applicable": applicable,
+        "violations": len(witnesses),
+        "violation_witnesses": witnesses,
+    }
+
+
+def scan_every_tuple_counterexamples(S, ideal, max_degree, spend, findings, base):
+    """Reference for ``oracle._hunt_counterexamples``: one unit of budget
+    per canonical tuple, spent before the tuple is tested with
+    ``first_failing_condition``."""
+    for tup in canonical_tuples(S, max_degree):
+        spend()
+        if first_failing_condition(
+            tup, ideal.contains_value, ideal.square().contains_value
+        )[0] is not None:
+            continue
+        f = Polynomial(S, tup)
+        outcome = search_factorizations(f, node_budget=None)
+        if outcome.found:
+            findings.append(
+                Finding(
+                    **{**base, "kind": KIND_CRITERION_COUNTEREXAMPLE},
+                    detail={"polynomial": f.format(), "g": outcome.g.format(),
+                            "h": outcome.h.format()},
+                )
+            )
 
 
 def trace_every_pair_near_misses(S, ideal, max_degree, spend, findings, base):
@@ -517,6 +606,31 @@ class TestVerifyTheorem:
             "86877ad288ac": 14, "f16831ab76b5": 7, "acc3f1ba3c46": 27, Z4_DIGEST: 14,
         }
 
+    def test_applicable_tuples_are_the_accepted_subsequence(self):
+        # every ideal, not only subtractive primes: each tuple that meets
+        # the three conditions, with its rank in the scan of every tuple
+        for order in (2, 3, 4):
+            for fs in enumerate_semirings(order):
+                S = from_table(fs)
+                scan = list(canonical_tuples(S, 3))
+                assert oracle._coefficient_tuple_count(S, 3) == len(scan)
+                for subset in S.ideal_sets:
+                    in_p, in_p_square = FiniteSetIdeal(S, subset).condition_tests()
+                    want = [
+                        (rank, tup) for rank, tup in enumerate(scan)
+                        if first_failing_condition(tup, in_p, in_p_square)[0] is None
+                    ]
+                    assert list(oracle._applicable_tuples(S, 3, in_p, in_p_square)) == want
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_matches_scan_of_every_tuple(self, order):
+        for fs in enumerate_semirings(order):
+            S = from_table(fs)
+            for max_degree in (1, 2, 3):
+                for window in (0, 2):
+                    got = verify_theorem(S, max_degree, window=window).as_dict()
+                    assert got == scan_every_tuple_verify(S, max_degree, window)
+
     def test_limits(self):
         from eisenring.tables import FiniteSemiring
 
@@ -566,13 +680,53 @@ class TestHunt:
             hunt_subtractivity(2, 1, budget=-1)
 
     @pytest.mark.parametrize("args", [
-        (3, 3, None), (4, 3, None),
-        *((3, 2, k) for k in (0, 1, 5, 17, 50, 200, 1000)),
+        *((order, degree, budget) for order in (2, 3, 4) for degree in (1, 2, 3)
+          for budget in (None, 50, 500, 5000)),
+        *((3, 2, k) for k in (0, 1, 5, 17, 200, 1000)),
     ])
     def test_near_miss_filter_matches_reference(self, args, monkeypatch):
+        # the counterexample scan's generated tuples and bulk budget charge
+        # too, against a scan that spends and tests every tuple
         fast = hunt_subtractivity(*args).as_dict()
         monkeypatch.setattr(oracle, "_hunt_near_misses", trace_every_pair_near_misses)
+        monkeypatch.setattr(oracle, "_hunt_counterexamples", scan_every_tuple_counterexamples)
         assert fast == hunt_subtractivity(*args).as_dict()
+
+    @pytest.mark.parametrize("max_degree", [1, 2, 3])
+    def test_counterexample_scan_spends_like_every_tuple_scan(self, max_degree):
+        # the budget spent by the time each counterexample is recorded, and
+        # in all, equals that of a scan spending one unit per canonical
+        # tuple, so every hunt budget cuts both scans after the same findings
+        checked = 0
+        for order in (3, 4):
+            for fs in enumerate_semirings(order):
+                S = from_table(fs)
+                for subset in S.ideal_sets:
+                    ideal = FiniteSetIdeal(S, subset)
+                    preds = ideal.predicates()
+                    if not preds.prime.holds or preds.subtractive.holds:
+                        continue
+                    runs = []
+                    for scan in (oracle._hunt_counterexamples, scan_every_tuple_counterexamples):
+                        spent, marks = [0], []
+
+                        def spend(k=1):
+                            spent[0] += k
+
+                        class Findings(list):
+                            def append(self, item):
+                                marks.append(spent[0])
+                                super().append(item)
+
+                        findings = Findings()
+                        scan(S, ideal, max_degree, spend, findings, {
+                            "order": order, "semiring_id": "", "add_table": (),
+                            "mul_table": (), "ideal": ideal.describe(),
+                        })
+                        runs.append(([f.as_dict() for f in findings], marks, spent[0]))
+                    assert runs[0] == runs[1], (fs, subset)
+                    checked += bool(runs[0][1])
+        assert checked or max_degree == 1
 
     def test_order_four_counterexamples_reverify(self):
         # at order 4 the hunt finds polynomials meeting all three conditions
@@ -624,14 +778,9 @@ class TestRawProductCheck:
 
     @staticmethod
     def cases():
-        for order in (2, 3):
-            for fs in enumerate_semirings(order):
-                S = from_table(fs)
-                k = fs.order
-                for d in (1, 2):
-                    for tup in itertools.product(range(k), repeat=d + 1):
-                        if tup[-1] != 0:
-                            yield Polynomial(S, tup), {"window": 2, "node_budget": None}
+        for f in finite_search_polynomials():
+            for window in (0, 2):
+                yield f, {"window": window, "node_budget": None}
         rng = random.Random(7)
         nat, tropical = builtin_semiring("nat"), builtin_semiring("tropical-min")
         tropical_values = list(range(6)) + [INFINITY]
@@ -678,15 +827,27 @@ class TestRawProductCheck:
             Polynomial(nat, (4, 4, 5, 6, 3, 2, 1)),  # (x^3 + x^2 + x + 2)^2
             Polynomial(nat, (0, 2, 1, 3, 1)),  # a_0 = 0: the plain walk
         ]
+        cases = [(f, oracle.DEFAULT_DEGREE_WINDOW) for f in cases]
+        # a seeded sample of finite searches small enough to sweep: the
+        # table walk charges a found h by its rank and a dead constant term
+        # by its whole run of g tuples
+        finite = [(f, w) for f in finite_search_polynomials() for w in (0, 2)]
+        sample = random.Random(61).sample(finite, 80)
+        cases += [
+            (f, w) for f, w in sample
+            if 0 < search_factorizations(f, window=w, node_budget=None).nodes <= 150
+        ][:16]
         runs = []
-        for f in cases:
-            nodes = search_factorizations(f, node_budget=None).nodes
-            runs += [(f, budget) for budget in (None, *range(nodes + 2))]
-        fast = [search_factorizations(f, node_budget=b).as_dict() for f, b in runs]
+        for f, w in cases:
+            nodes = search_factorizations(f, window=w, node_budget=None).nodes
+            runs += [(f, w, budget) for budget in (None, *range(nodes + 2))]
+        fast = [search_factorizations(f, window=w, node_budget=b).as_dict() for f, w, b in runs]
         monkeypatch.setattr(oracle, "_first_factorization", polynomial_product_driver)
         monkeypatch.setattr(oracle, "_nat_g_walk", full_nat_walk)
         monkeypatch.setattr(oracle, "_finite_g_walk", full_finite_g_walk)
-        reference = [search_factorizations(f, node_budget=b).as_dict() for f, b in runs]
+        reference = [
+            search_factorizations(f, window=w, node_budget=b).as_dict() for f, w, b in runs
+        ]
         assert fast == reference
         assert {o["result"] for o in fast} == {"found", "none-within-bounds"}
 

@@ -1,26 +1,35 @@
 import itertools
+import math
 import random
+import time
 import timeit
 
 import pytest
 
 from eisenring import (
     INFINITY,
+    CapabilityFlags,
     Polynomial,
     PrincipalIdeal,
     builtin_semiring,
     check_corollary,
     classify_element,
+    enumerate_ideals,
     enumerate_semirings,
     from_table,
     ideal_closure,
     principal_ideal,
     semidomain_check,
 )
-from eisenring.errors import LiteralError, UnknownSemiringError
-from eisenring.semirings import _is_prime_int
+from eisenring.errors import FactoringLimitError, LiteralError, UnknownSemiringError
+from eisenring.semirings import (
+    _finite_flags,
+    _is_prime_int,
+    _smallest_factor_pair,
+    _table_descriptor,
+)
 
-from conftest import sample_values
+from conftest import sample_values, table_fact_inputs
 
 # the law and divisibility checks sample the naturals <= 64
 SAMPLE_BOUND = 64
@@ -280,6 +289,40 @@ class TestPrimality:
             assert cls.is_irreducible and cls.is_prime_element
             assert cls.factorization_witness is None
 
+    def test_smallest_factor_pair_matches_trial_division(self):
+        # products of primes past the trial-division range, which rho splits
+        rng = random.Random(89)
+        primes = [p for p in range(1000, 60_000) if _trial_division_prime(p)]
+        for _ in range(300):
+            factors = sorted(rng.sample(primes, rng.choice((2, 2, 3))))
+            if rng.random() < 0.2:
+                factors.insert(0, factors[0])  # a square of the least factor
+            n = math.prod(factors)
+            assert _smallest_factor_pair(n) == (factors[0], n // factors[0]), factors
+        for n in range(2, 5000):
+            d = next((d for d in range(2, n) if n % d == 0), None)
+            assert _smallest_factor_pair(n) == (None if d is None else (d, n // d)), n
+
+    def test_large_semiprime_splits_promptly(self):
+        t0 = time.perf_counter()
+        n = (2**31 - 1) * (10**9 + 7)
+        assert _smallest_factor_pair(n) == (10**9 + 7, 2**31 - 1)
+        # past the exact Miller-Rabin bound a base still proves compositeness
+        big = (2**61 - 1) * (2**31 - 1) * (10**9 + 7)
+        assert not _is_prime_int(big)
+        assert _smallest_factor_pair(big) == (10**9 + 7, big // (10**9 + 7))
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("n", [
+        2**89 - 1,  # a prime past the bound where Miller-Rabin is proven exact
+        35184372088891 * 70368744177679,  # two 45-bit primes: past the rho budget
+    ])
+    def test_undecidable_inputs_raise_promptly(self, n):
+        t0 = time.perf_counter()
+        with pytest.raises(FactoringLimitError):
+            _smallest_factor_pair(n)
+        assert time.perf_counter() - t0 < 1.0
+
     def test_mersenne_classification_is_fast(self, nat):
         # Miller-Rabin, not trial division up to 2^30.5
         runs = timeit.repeat(lambda: classify_element(nat, 2**61 - 1), number=1, repeat=3)
@@ -362,7 +405,73 @@ class TestSemidomain:
                 assert (verdict.counterexample is None) == verdict.holds
 
 
+def definitional_flags(fs):
+    """Reference for ``semirings._finite_flags``: the flags and the ideals
+    straight from the definitions, one element tuple at a time, with s*a
+    read as ``mul[s][a]`` as the table scans read it."""
+    n, add, mul = fs.order, fs.add_table, fs.mul_table
+    z, o = fs.zero_index, fs.one_index
+    rng = range(n)
+
+    def is_ideal(s):
+        return (z in s and all(add[a][b] in s for a in s for b in s)
+                and all(mul[t][a] in s for t in rng for a in s))
+
+    def is_prime(s):
+        return all(mul[a][b] not in s for a in rng for b in rng if a not in s and b not in s)
+
+    def is_subtractive(s):
+        return all(b in s for a in s for b in rng if add[a][b] in s)
+
+    subsets = {frozenset(c) | {z} for k in range(n + 1) for c in itertools.combinations(rng, k)}
+    ideals = [s for s in subsets if is_ideal(s)]
+    units = {a for a in rng if any(mul[s][a] == o for s in rng)}
+    nonunits = {a for a in rng if a != z and a not in units}
+    irreducibles = {
+        a for a in nonunits
+        if not any(mul[s][t] == a for s in rng for t in rng if s not in units and t not in units)
+    }
+    prime_elements = set()
+    for p in rng:
+        principal = {mul[s][p] for s in rng}
+        if p != o and len(principal) < n and is_prime(principal):
+            prime_elements.add(p)
+    products = set(irreducibles)  # every product of irreducibles, left to right
+    while True:
+        more = {mul[a][i] for a in products for i in irreducibles} - products
+        if not more:
+            break
+        products |= more
+    semidomain = all(
+        mul[a][b] != mul[a][c] for a in rng if a != z for b in rng for c in rng if b != c
+    )
+    flags = CapabilityFlags(
+        is_finite=True,
+        is_semidomain=semidomain,
+        is_entire=all(mul[a][b] != z for a in rng for b in rng if a != z and b != z),
+        all_ideals_subtractive=all(is_subtractive(s) for s in ideals),
+        is_factorial=semidomain and irreducibles <= prime_elements and nonunits <= products,
+        is_weak_gaussian=all(
+            is_subtractive(s) for s in ideals if len(s) < n and is_prime(s)
+        ),
+    )
+    return flags, tuple(sorted((tuple(sorted(s)) for s in ideals), key=lambda t: (len(t), t)))
+
+
 class TestFiniteFlags:
+    def test_match_definitions(self):
+        for fs in table_fact_inputs():
+            assert _finite_flags(fs) == definitional_flags(fs), fs
+
+    def test_descriptor_keeps_the_ideals(self):
+        for order in (2, 3, 4):
+            for fs in enumerate_semirings(order):
+                S = from_table(fs)
+                assert S.ideal_sets == tuple(enumerate_ideals(fs))
+                # the hunt's path for enumerator tables skips only the axiom check
+                T = _table_descriptor(fs)
+                assert T == S and T.flags == S.flags and T.ideal_sets == S.ideal_sets
+
     def test_semidomain_implies_entire(self):
         for order in (2, 3):
             for fs in enumerate_semirings(order):

@@ -21,7 +21,9 @@ from eisenring.errors import (
     TableShapeError,
     TableSyntaxError,
 )
-from eisenring.tables import FiniteSemiring, _commutative_monoids
+from eisenring.tables import AXIOM_NAMES, FiniteSemiring, _commutative_monoids
+
+from conftest import table_fact_inputs
 
 N3_TEXT = """\
 # saturating semiring
@@ -146,7 +148,51 @@ class TestParsing:
         assert parse_semiring_file(format_semiring_file(fs)) == fs
 
 
+def scan_axioms(fs):
+    """Reference for check_axioms: each axiom's first counterexample, in
+    lexicographic order of its element tuple (pairs a < b for
+    commutativity), or None, found by testing one tuple at a time."""
+    n, add, mul = fs.order, fs.add_table, fs.mul_table
+    z, o = fs.zero_index, fs.one_index
+    singles = [(a,) for a in range(n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    triples = list(itertools.product(range(n), repeat=3))
+
+    def first(tuples, fails):
+        return next((t for t in tuples if fails(*t)), None)
+
+    return {
+        "add-commutative": first(pairs, lambda a, b: add[a][b] != add[b][a]),
+        "add-associative": first(
+            triples, lambda a, b, c: add[add[a][b]][c] != add[a][add[b][c]]),
+        "add-identity": first(singles, lambda a: add[a][z] != a or add[z][a] != a),
+        "mul-commutative": first(pairs, lambda a, b: mul[a][b] != mul[b][a]),
+        "mul-associative": first(
+            triples, lambda a, b, c: mul[mul[a][b]][c] != mul[a][mul[b][c]]),
+        "mul-identity": first(singles, lambda a: mul[a][o] != a or mul[o][a] != a),
+        "distributive": first(
+            triples,
+            lambda a, b, c: mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]
+            or mul[add[b][c]][a] != add[mul[b][a]][mul[c][a]],
+        ),
+        "zero-absorbing": first(singles, lambda s: mul[s][z] != z or mul[z][s] != z),
+    }
+
+
 class TestAxioms:
+    def test_matches_tuple_scan(self):
+        checked = failing = 0
+        for fs in table_fact_inputs():
+            report = check_axioms(fs)
+            want = scan_axioms(fs)
+            assert [r.name for r in report.results] == list(AXIOM_NAMES)
+            got = {r.name: r.counterexample for r in report.results}
+            assert got == want, fs
+            assert all(r.holds == (r.counterexample is None) for r in report.results)
+            checked += 1
+            failing += not report.all_pass
+        assert checked == 44 + 232 and 0 < failing < checked
+
     def test_reference_tables_pass(self):
         for fs in (boolean_table(), mod2_table(), mod3_table(), n3_saturating_table()):
             assert check_axioms(fs).all_pass
