@@ -379,14 +379,16 @@ def _finite_positions(S: SemiringDescriptor, d: int) -> list:
 def _finite_space(f: Polynomial, pairs, window, coeff_bound) -> _CandidateSpace:
     S = f.semiring
 
+    a = f.coeffs
+
     def pair(r, s):
         h_positions = _finite_positions(S, s)
-        h_count = math.prod(map(len, h_positions))
+        a_top = a[r + s] if r + s < len(a) else S.zero_value
 
         def h_lists(g):  # an int stands for a run of g tuples the walk ruled out
             return None if type(g) is int else h_positions
 
-        return _finite_g_walk(S, f.coeffs[0], r, h_count), h_lists
+        return _finite_g_walk(S, r, a[0], a_top, h_positions), h_lists
 
     note = (
         "all coefficient tuples; degrees add exactly on an entire carrier"
@@ -396,19 +398,33 @@ def _finite_space(f: Polynomial, pairs, window, coeff_bound) -> _CandidateSpace:
     return _CandidateSpace(pair, "all carrier elements", True, note)
 
 
-def _finite_g_walk(S: SemiringDescriptor, a0, r, h_count):
+def _finite_g_walk(S: SemiringDescriptor, r, a0, a_top, h_positions):
     """The degree-r g tuples over ``_finite_positions`` in lexicographic
-    order, constant first, with the run of tuples that share a constant
-    term b_0 given as its node count when no h_0 has b_0*h_0 = a_0: each
-    such g costs its ``h_count`` full h candidates, all rejected at h_0."""
-    consts, *rest = _finite_positions(S, r)
-    run = math.prod(map(len, rest)) * h_count
+    order, constant first, with every run of tuples that an extreme
+    coefficient rules out given as its node count.  A g has no cofactor
+    when no h_0 has b_0*h_0 = a_0, or when no leader h_s in
+    ``h_positions`` has b_r*h_s = a_top, the target's coefficient r+s;
+    the walk would reject each of its h candidates, so it costs their
+    number."""
     mul_rows = S.table.mul_table
-    for b0 in consts:
-        if a0 in mul_rows[b0]:
-            yield from itertools.product((b0,), *rest)
+    h_count = math.prod(map(len, h_positions))
+    consts, *middles, leads = _finite_positions(S, r)
+    pattern = []  # each live lead as a 1-tuple, each run of dead ones as its nodes
+    for b in leads:
+        if any(mul_rows[b][v] == a_top for v in h_positions[-1]):
+            pattern.append((b,))
+        elif pattern and type(pattern[-1]) is int:
+            pattern[-1] += h_count
         else:
+            pattern.append(h_count)
+    run = math.prod(map(len, middles)) * len(leads) * h_count  # the g tuples sharing b_0
+    for b0 in consts:
+        if a0 not in mul_rows[b0]:
             yield run
+            continue
+        for prefix in itertools.product((b0,), *middles):
+            for item in pattern:
+                yield item if type(item) is int else prefix + item
 
 
 def _nat_space(f: Polynomial, pairs, window, coeff_bound) -> _CandidateSpace:

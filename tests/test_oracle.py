@@ -167,9 +167,9 @@ def full_nat_walk(a, r, cap, consts, leads):
     return lazy_product(consts, *[range(cap + 1)] * (r - 1), leads)
 
 
-def full_finite_g_walk(S, a0, r, h_count):
+def full_finite_g_walk(S, r, a0, a_top, h_positions):
     """Reference for ``oracle._finite_g_walk``: every g tuple over the
-    finite positions, in the same order, none ruled out at h_0."""
+    finite positions, in the same order, none ruled out."""
     return itertools.product(*oracle._finite_positions(S, r))
 
 
