@@ -17,8 +17,8 @@ tuples, ``first_failing_condition``.  It takes the two membership tests
 of ``Ideal.condition_tests``, raw callables for P and P^2 built once per
 ideal (closed forms of divisibility on the infinite carriers, set
 membership on finite ones).  ``check_eisenstein`` calls it on a
-polynomial's coefficients and the exhaustive scans of the oracle call it
-on raw tuples, with the same tests.
+polynomial's coefficients; the exhaustive scans of the oracle generate
+the tuples it accepts.
 
 A report is an immutable named tuple that keeps only the first failing
 condition and its witness index: since the conditions are tested in
@@ -32,7 +32,7 @@ factorization g*h.  After normalizing roles so the b-factor has its
 constant term outside P, it finds the least m with c_m outside P and
 splits the product coefficient a_m into its convolution terms.  The role
 rule lives in one raw-tuple helper, ``trace_roles``, which the hunt's
-near-miss scan also calls to skip pairs whose a_m lies outside P.  Every
+near-miss scan also calls, to read m and a_m without a trace.  Every
 term except b_0*c_m lies in P; when P is subtractive and prime that
 forces a_m outside P, and when P is not subtractive the trace shows
 exactly where the sum absorbed the non-member term.
@@ -153,10 +153,10 @@ def first_failing_condition(coeffs, in_p, in_p_square):
     called only once conditions 1 and 2 hold.
 
     This is the one implementation of the three conditions:
-    ``check_eisenstein`` calls it on a polynomial's coefficients, and the
-    batch paths of ``verify_theorem`` and ``hunt_subtractivity`` call it
-    on raw tuples, building a Polynomial only for a tuple that meets all
-    three."""
+    ``check_eisenstein`` calls it on a polynomial's coefficients.  The
+    batch paths of ``verify_theorem`` and ``hunt_subtractivity`` generate
+    the tuples it accepts instead of testing every tuple, and the tests
+    hold them to a scan that calls it on each."""
     n = len(coeffs) - 1
     if in_p(coeffs[n]):
         return 1, n
@@ -178,7 +178,7 @@ def trace_roles(g, h, in_p, add, mul):
 
     This is the one implementation of the roles: ``proof_trace`` calls it
     on a polynomial pair, and the near-miss scan of ``hunt_subtractivity``
-    calls it on raw tuples, tracing only a pair whose a_m lies in P."""
+    calls it on raw tuples and records m and a_m without a trace."""
     b_is_g = not in_p(g[0])
     if not b_is_g and in_p(h[0]):
         return None

@@ -19,13 +19,22 @@ one node and a rejected prefix costs the product of the remaining list
 lengths, the number of full h candidates beneath it, so the first
 witness, ``nodes``, ``complete`` and the budget cut-off are exactly
 those of trying every full h tuple in turn.  Candidates are compared as
-raw coefficient tuples with the carrier's addition and multiplication,
-taken once per search from ``SemiringDescriptor.value_ops`` rather than
-dispatched on the carrier kind per operation; only the accepted pair
-becomes Polynomial objects.  Only the candidate rules differ:
+raw coefficient tuples; only the accepted pair becomes Polynomial
+objects.  On a finite table the walk reads the operation tables' rows:
+a candidate v at position j is tested as ``add_rows[rest][mul_rows[g_0]
+[v]]``.  Every full h candidate costs one node whether a prefix or the
+leaf rejects it, so that walk only finds the first h and charges its
+rank plus one, or the full h count when there is none, in one step.
+Other carriers take their addition and multiplication once per search
+from ``SemiringDescriptor.value_ops``.  Only the candidate rules differ:
 
   finite tables   every element, nonzero leading coefficient, for g and
-                  h alike; complete within the window.
+                  h alike.  A g has no cofactor when no h_0 has b_0*h_0
+                  = a_0, or when no h leader has b_r*h_s = a_(r+s); the
+                  g walk gives each run of such tuples as its node
+                  count, every h candidate of each, at its place in the
+                  order, and the driver charges it in bulk.  Complete
+                  within the window.
   nat             every convolution term is non-negative, so b_i * c_s
                   <= a_(i+s) and with c_s >= 1 every g coefficient is at
                   most max(f); extreme coefficients must divide a_n and
@@ -53,18 +62,26 @@ becomes Polynomial objects.  Only the candidate rules differ:
                   of f's nonzero coefficients: a semi-decision,
                   complete=False.
 
-``verify_theorem`` exhausts a finite semiring: every ideal, every
-subtractive prime, every polynomial up to a degree cap, and a complete
-search behind every Satisfied verdict.  It and the hunt test the three
-conditions with ``first_failing_condition`` on raw coefficient tuples
-with the ideal's ``condition_tests`` and build a Polynomial only for a
-tuple that meets all three.  ``hunt_subtractivity`` streams enumerated
-semirings looking for prime-but-not-subtractive ideals, for genuine
-counterexamples to the criterion-without-subtractivity, and for
-proof-trace near misses where a_m lands in the ideal.  The near-miss
+``verify_theorem`` exhausts a finite semiring: every ideal (the list
+the descriptor kept from ``from_table``), every subtractive prime, every
+polynomial up to a degree cap, and a complete search behind every
+Satisfied verdict.  The tuples that meet the three conditions are
+generated, not scanned: a_0 in P but not in P^2, a_1..a_(d-1) in P and
+the lead outside P.  That product of filtered element lists is exactly
+the subsequence of the full scan that ``first_failing_condition``
+accepts, in the same order, and ``polynomials_scanned`` is the count of
+the full scan in closed form.  ``hunt_subtractivity`` streams
+enumerated semirings, built without a second axiom check, looking for
+prime-but-not-subtractive ideals, for genuine counterexamples to the
+criterion-without-subtractivity, and for proof-trace near misses where
+a_m lands in the ideal.  Its counterexample scan takes the same
+generated tuples and charges its budget one unit per tuple of the full
+scan: in bulk just before each tuple it searches and for the rest at
+the end, so any budget runs out after the same findings.  The near-miss
 scan applies the trace's role rule, ``trace_roles``, to raw factor
-tuples and builds Polynomials and a full ``proof_trace`` only for a pair
-whose a_m lies in the ideal.
+tuples and computes the trace's m, a_m and nonmember terms on the
+tuples; only g, h and a_m of a recorded pair are formatted, and no
+``proof_trace`` runs.
 """
 
 from __future__ import annotations
@@ -226,13 +243,14 @@ def _first_factorization(f: Polynomial, pairs, pair_space, limit):
     were derived; it costs one node.  An int k among the g tuples stands
     for a run of g tuples ruled out without a look and costs k nodes.
 
-    h is walked one position at a time, constant first.  Product
-    coefficient j <= s needs only g and h_0..h_j, so it is compared with f
-    as soon as h_j is fixed; a mismatch rejects the prefix and charges the
-    full h candidates beneath it.  Coefficients s+1..r+s are compared at
-    the leaf.  Candidate order, nodes and the budget cut-off are those of
-    trying every full h tuple in turn; only the accepted pair becomes
-    Polynomial objects.
+    h is walked one position at a time, constant first, by
+    ``_first_table_cofactor`` on a finite table and ``_first_cofactor``
+    elsewhere.  Product coefficient j <= s needs only g and h_0..h_j, so
+    it is compared with f as soon as h_j is fixed; a mismatch rejects the
+    prefix and the full h candidates beneath it.  Coefficients s+1..r+s
+    are compared at the leaf.  Candidate order, nodes and the budget
+    cut-off are those of trying every full h tuple in turn; only the
+    accepted pair becomes Polynomial objects.
 
     The carrier's operations are taken once per search.  The padded target
     and the leaf table of a degree pair are built when its first g
@@ -331,8 +349,7 @@ def _first_table_cofactor(add_rows, mul_rows, g, lists, target, top, nodes, limi
     that total passes ``limit``.  So the walk only finds the first h and
     charges its nodes in one step.  At position j it keeps the candidates
     v with ``add_rows[rest][mul_rows[g_0][v]]`` equal to a_j, where rest
-    folds the terms that use h_0..h_(j-1); a g whose row ``mul_rows[g_0]``
-    lacks a_0 keeps no h_0 and is charged its full h count at once."""
+    folds the terms that use h_0..h_(j-1)."""
     r, s = len(g) - 1, len(lists) - 1
     g_rows = [mul_rows[b] for b in g]
     g0_row = g_rows[0]
@@ -378,7 +395,6 @@ def _finite_positions(S: SemiringDescriptor, d: int) -> list:
 
 def _finite_space(f: Polynomial, pairs, window, coeff_bound) -> _CandidateSpace:
     S = f.semiring
-
     a = f.coeffs
 
     def pair(r, s):

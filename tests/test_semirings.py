@@ -299,6 +299,9 @@ class TestPrimality:
                 factors.insert(0, factors[0])  # a square of the least factor
             n = math.prod(factors)
             assert _smallest_factor_pair(n) == (factors[0], n // factors[0]), factors
+        for p in primes[:30]:  # rho walks mod p^k: prime powers must still split
+            assert _smallest_factor_pair(p * p) == (p, p)
+            assert _smallest_factor_pair(p**3) == (p, p * p)
         for n in range(2, 5000):
             d = next((d for d in range(2, n) if n % d == 0), None)
             assert _smallest_factor_pair(n) == (None if d is None else (d, n // d)), n
