@@ -425,14 +425,11 @@ def _finite_g_walk(S: SemiringDescriptor, r, a0, a_top, h_positions):
     mul_rows = S.table.mul_table
     h_count = math.prod(map(len, h_positions))
     consts, *middles, leads = _finite_positions(S, r)
-    pattern = []  # each live lead as a 1-tuple, each run of dead ones as its nodes
-    for b in leads:
-        if any(mul_rows[b][v] == a_top for v in h_positions[-1]):
-            pattern.append((b,))
-        elif pattern and type(pattern[-1]) is int:
-            pattern[-1] += h_count
-        else:
-            pattern.append(h_count)
+    # each live lead as a 1-tuple, each dead one as its nodes
+    pattern = [
+        (b,) if any(mul_rows[b][v] == a_top for v in h_positions[-1]) else h_count
+        for b in leads
+    ]
     run = math.prod(map(len, middles)) * len(leads) * h_count  # the g tuples sharing b_0
     for b0 in consts:
         if a0 not in mul_rows[b0]:
@@ -692,7 +689,7 @@ def _applicable_tuples(S: SemiringDescriptor, max_degree: int, in_p, in_p_square
     members = [v for v in elements if in_p(v)]
     consts = [v for v in members if not in_p_square(v)]
     leads = [v for v in elements if not in_p(v)]
-    lead_rank = {v: i for i, v in enumerate(_finite_positions(S, 0)[0])}
+    lead_rank = {v: i for i, v in enumerate(_finite_positions(S, 0)[-1])}  # among nonzero leads
     offset = 0  # the tuples of lower degree
     for d in range(1, max_degree + 1):
         for tup in itertools.product(consts, *[members] * (d - 1), leads):

@@ -146,8 +146,10 @@ def check_axioms(fs: FiniteSemiring) -> AxiomReport:
 
     Identity, distributivity and absorption are checked on both sides so
     the per-axiom verdicts stay truthful even on tables whose
-    commutativity is already broken.  Each scan is a loop over table rows
-    that stops at its first counterexample.
+    commutativity is already broken.  Each scan loops over table rows
+    and stops at its counterexample, the first element tuple in
+    lexicographic order (pairs a < b for commutativity) that breaks the
+    axiom.
     """
     n = fs.order
     add, mul = fs.add_table, fs.mul_table
@@ -165,7 +167,7 @@ def check_axioms(fs: FiniteSemiring) -> AxiomReport:
     return AxiomReport(fs, results)
 
 
-# Each scan returns (holds, first counterexample or None).
+# Each scan returns (holds, counterexample or None).
 
 def _commutes(table, n):
     for a in range(n):
