@@ -33,7 +33,7 @@ from ``SemiringDescriptor.value_ops``.  Only the candidate rules differ:
                   = a_0, or when no h leader has b_r*h_s = a_(r+s); the
                   g walk gives each run of such tuples as its node
                   count, every h candidate of each, at its place in the
-                  order, and the driver charges it in bulk.  Complete
+                  order, and ``nodes`` takes it in one step.  Complete
                   within the window.
   nat             every convolution term is non-negative, so b_i * c_s
                   <= a_(i+s) and with c_s >= 1 every g coefficient is at
