@@ -78,9 +78,10 @@ a_m lands in the ideal.  Its counterexample scan takes the same
 generated tuples and charges its budget one unit per tuple of the full
 scan: in bulk just before each tuple it searches and for the rest at
 the end, so any budget runs out after the same findings.  The near-miss
-scan applies the trace's role rule, ``trace_roles``, to raw factor
-tuples and computes the trace's m, a_m and nonmember terms on the
-tuples; only g, h and a_m of a recorded pair are formatted, and no
+scan charges the runs of h that cannot hold a near miss in one step and
+applies the trace's role rule, ``trace_roles``, to the other raw factor
+tuples, computing the trace's m, a_m and nonmember terms on the tuples;
+only g, h and a_m of a recorded pair are formatted, and no
 ``proof_trace`` runs.
 """
 
@@ -90,7 +91,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -848,6 +849,8 @@ def hunt_subtractivity(
                 spend()
                 examined += 1
                 S = _table_descriptor(fs)
+                if S.flags.all_ideals_subtractive:  # no non-subtractive prime
+                    continue
                 for subset in S.ideal_sets:
                     ideal = FiniteSetIdeal(S, subset)
                     preds = ideal.predicates()
@@ -907,39 +910,47 @@ def _hunt_near_misses(S, ideal, max_degree, spend, findings, base):
     """Record the proof-trace facts of degree <= 2 factor pairs whose a_m
     lies in the ideal: m, a_m and the indices i of the terms b_i*c_(m-i)
     outside it, the trace's ``nonmember_terms``.  The trace's role rule,
-    ``trace_roles``, runs on raw tuples, and only g, h and a_m of a
-    recorded pair are formatted."""
+    ``trace_roles``, runs on raw tuples, and each recorded g and h is
+    formatted once per call.  For each g, the h tuples sharing h_0 form a
+    run, charged in one step when h_0 lies on the same side of P as g_0:
+    both in P leave no roles, and both outside give m = 0 and a_0 =
+    g_0*h_0 outside P, since P is prime."""
     recorded = 0
     in_p, _ = ideal.condition_tests()
     add, mul = S.value_ops()
     top = min(2, max_degree)
+    fmt = cache(lambda tup: Polynomial(S, tup).format())
     for dg in range(1, top + 1):
         for dh in range(1, top + 1):
+            h_consts, *h_rest = _finite_positions(S, dh)
+            run = math.prod(map(len, h_rest))
             for g_tup in itertools.product(*_finite_positions(S, dg)):
-                for h_tup in itertools.product(*_finite_positions(S, dh)):
-                    spend()
-                    roles = trace_roles(g_tup, h_tup, in_p, add, mul)
-                    if roles is None:
+                g0_in = in_p(g_tup[0])
+                for h0 in h_consts:
+                    if in_p(h0) == g0_in:
+                        spend(run)
                         continue
-                    b_is_g, m, a_m = roles
-                    if m is None or not in_p(a_m):
-                        continue
-                    b, c = (g_tup, h_tup) if b_is_g else (h_tup, g_tup)
-                    findings.append(
-                        Finding(
-                            **{**base, "kind": KIND_TRACE_NEAR_MISS},
-                            detail={
-                                "g": Polynomial(S, g_tup).format(),
-                                "h": Polynomial(S, h_tup).format(),
-                                "m": m,
-                                "a_m": S.format_value(a_m),
-                                "nonmember_terms": [
-                                    i for i in range(min(m, len(b) - 1) + 1)
-                                    if not in_p(mul(b[i], c[m - i]))
-                                ],
-                            },
+                    for h_tup in itertools.product((h0,), *h_rest):
+                        spend()
+                        b_is_g, m, a_m = trace_roles(g_tup, h_tup, in_p, add, mul)
+                        if m is None or not in_p(a_m):
+                            continue
+                        b, c = (g_tup, h_tup) if b_is_g else (h_tup, g_tup)
+                        findings.append(
+                            Finding(
+                                **{**base, "kind": KIND_TRACE_NEAR_MISS},
+                                detail={
+                                    "g": fmt(g_tup),
+                                    "h": fmt(h_tup),
+                                    "m": m,
+                                    "a_m": S.format_value(a_m),
+                                    "nonmember_terms": [
+                                        i for i in range(min(m, len(b) - 1) + 1)
+                                        if not in_p(mul(b[i], c[m - i]))
+                                    ],
+                                },
+                            )
                         )
-                    )
-                    recorded += 1
-                    if recorded >= NEAR_MISS_CAP:
-                        return
+                        recorded += 1
+                        if recorded >= NEAR_MISS_CAP:
+                            return

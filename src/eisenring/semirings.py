@@ -42,6 +42,7 @@ from .tables import (
     FiniteSemiring,
     cancellation_violation,
     check_axioms,
+    check_ideal_order,
     enumerate_ideals,
     factor_pair,
     multiples,
@@ -284,8 +285,9 @@ def _finite_flags(fs: FiniteSemiring):
     """Every capability flag of a table that satisfies the axioms, and its
     ideals as ``enumerate_ideals`` lists them.  The ideal-based flags need
     enumerate_ideals, which refuses orders above its subset-scan cap; it
-    runs first, so such a table fails before the cubic scans.  Each fact
-    is decided once: the units, and whether each ideal is subtractive."""
+    runs first here, and ``from_table`` checks that cap before its axiom
+    scan, so such a table fails before the cubic scans.  Each fact is
+    decided once: the units, and whether each ideal is subtractive."""
     ideals = enumerate_ideals(fs)
     n = fs.order
     rng = range(n)
@@ -336,7 +338,10 @@ def _finite_flags(fs: FiniteSemiring):
 
 
 def from_table(fs: FiniteSemiring, name: str | None = None) -> SemiringDescriptor:
-    """Build a usable descriptor from a table, verifying the axioms first."""
+    """Build a usable descriptor from a table, verifying the axioms first.
+    An order above the ideal-enumeration cap is refused before that
+    cubic scan."""
+    check_ideal_order(fs.order)
     report = check_axioms(fs)
     if not report.all_pass:
         failed = ", ".join(r.name for r in report.failures())

@@ -10,8 +10,8 @@ on (units, factor pairs, principal ideals, cancellation, prime and
 subtractive ideals) with one scan each, enumerates ideals by subset scan,
 and enumerates all commutative semirings of order at most 5 up to
 isomorphism: the addition and multiplication monoids are each built once
-by backtracking over table cells, then paired, tested for distributivity
-and deduplicated.
+by backtracking over table cells, then paired (one addition per
+relabelling orbit), tested for distributivity and deduplicated.
 
 Table file format (line oriented, whitespace separated, '#' comments):
 
@@ -314,15 +314,20 @@ def cancellation_violation(fs: FiniteSemiring):
     return next((a, b, c) for c in rng for b in range(c) if row[b] == row[c])
 
 
+def check_ideal_order(order: int) -> None:
+    """Refuse an order above MAX_IDEAL_ORDER, the subset-scan cap."""
+    if order > MAX_IDEAL_ORDER:
+        raise OrderTooLargeError(
+            f"ideal enumeration supports order <= {MAX_IDEAL_ORDER}, got {order}"
+        )
+
+
 def enumerate_ideals(fs: FiniteSemiring):
     """All ideals of fs, found by scanning the 2^(n-1) subsets containing
     zero.  Output is canonical: sorted index tuples, ordered by size then
     lexicographically.  Includes the improper ideal (the whole carrier).
     Orders above MAX_IDEAL_ORDER are refused."""
-    if fs.order > MAX_IDEAL_ORDER:
-        raise OrderTooLargeError(
-            f"ideal enumeration supports order <= {MAX_IDEAL_ORDER}, got {fs.order}"
-        )
+    check_ideal_order(fs.order)
     z = fs.zero_index
     others = [i for i in range(fs.order) if i != z]
     found = []
@@ -468,25 +473,32 @@ def n3_saturating_table() -> FiniteSemiring:
 # ---------------------------------------------------------------------------
 # enumeration of small commutative semirings
 
-def canonical_form(fs: FiniteSemiring):
-    """Lexicographically minimal (add, mul) table pair over carrier
-    permutations fixing zero and one.  Two tables are isomorphic iff their
-    canonical forms coincide: any isomorphism preserves the identities, and
-    here both identities sit at fixed indices."""
-    n = fs.order
-    best = None
+def _relabellings(n: int):
+    """Every carrier permutation fixing zero and one as a ``(perm, inv)``
+    pair, the identity first."""
     for tail in itertools.permutations(range(2, n)):
         perm = (0, 1, *tail)
         inv = [0] * n
         for i, p in enumerate(perm):
             inv[p] = i
-        key = (
-            tuple(tuple(perm[fs.add_table[inv[i]][inv[j]]] for j in range(n)) for i in range(n)),
-            tuple(tuple(perm[fs.mul_table[inv[i]][inv[j]]] for j in range(n)) for i in range(n)),
-        )
-        if best is None or key < best:
-            best = key
-    return best
+        yield perm, inv
+
+
+def _relabel(table, perm, inv):
+    """The table with every element x renamed perm[x]: cell (i, j) holds
+    perm[table[inv[i]][inv[j]]]."""
+    return tuple(tuple(perm[table[x][y]] for y in inv) for x in inv)
+
+
+def canonical_form(fs: FiniteSemiring):
+    """Lexicographically minimal (add, mul) table pair over carrier
+    permutations fixing zero and one.  Two tables are isomorphic iff their
+    canonical forms coincide: any isomorphism preserves the identities, and
+    here both identities sit at fixed indices."""
+    return min(
+        (_relabel(fs.add_table, perm, inv), _relabel(fs.mul_table, perm, inv))
+        for perm, inv in _relabellings(fs.order)
+    )
 
 
 def _commutative_monoids(n: int, identity: int, absorbing: int | None = None):
@@ -499,6 +511,8 @@ def _commutative_monoids(n: int, identity: int, absorbing: int | None = None):
     ``itertools.product`` would list their free values.  A partial table
     is dropped as soon as an associativity triple whose four cells are all
     filled fails; every triple is checked once the last cell is filled.
+    Only triples with a < c are checked: (a, b, a) holds by symmetry, and
+    (c, b, a) is the equation of (a, b, c) over the same four cells.
     """
     table = [[0] * n for _ in range(n)]
     rank = [[-1] * n for _ in range(n)]  # fill step of each cell, -1 if fixed
@@ -513,7 +527,7 @@ def _commutative_monoids(n: int, identity: int, absorbing: int | None = None):
     # a triple holding a fixed element associates whatever the free cells hold
     triples = [
         [(a, b, c) for a in rest for b in rest for c in rest
-         if rank[a][b] <= k and rank[b][c] <= k]
+         if a < c and rank[a][b] <= k and rank[b][c] <= k]
         for k in range(len(free))
     ]
     rng = range(n)
@@ -562,12 +576,15 @@ def enumerate_semirings(order: int, budget: int | None = None):
     ones with identity 1 and absorbing 0.  Every (addition, multiplication)
     pair is then tested for distributivity, and the first table of each
     isomorphism class is kept.  Pairs are visited in the lexicographic
-    order of their free cells, addition first.
+    order of their tables, addition first.  Only the first addition of
+    each orbit under relabellings s of {2..order-1} is paired: s fixes
+    both identities, so when s(A) comes before A, every semiring (A, M) is
+    isomorphic to (s(A), s(M)), met earlier, and would be dropped.
 
     ``budget`` caps the number of (associative addition, associative
-    multiplication) pairs examined; exceeding it raises
-    BudgetExceededError, and everything yielded before that is a prefix of
-    the full stream.
+    multiplication) pairs examined, a skipped addition's pairs charged in
+    one step; exceeding it raises BudgetExceededError, and everything
+    yielded before that is a prefix of the full stream.
     """
     if order < 2:
         raise OrderTooSmallError(f"order must be at least 2, got {order}")
@@ -578,16 +595,21 @@ def enumerate_semirings(order: int, budget: int | None = None):
     n = order
     names = tuple(str(i) for i in range(n))
     muls = list(_commutative_monoids(n, identity=1, absorbing=0))
+    relabellings = list(_relabellings(n))[1:]  # all but the identity
+    exhausted = f"semiring enumeration budget {budget} exhausted at order {order}"
     seen = set()
     nodes = 0
 
     for add in _commutative_monoids(n, identity=0):
+        if any(_relabel(add, perm, inv) < add for perm, inv in relabellings):
+            nodes += len(muls)
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError(exhausted)
+            continue
         for mul in muls:
             nodes += 1
             if budget is not None and nodes > budget:
-                raise BudgetExceededError(
-                    f"semiring enumeration budget {budget} exhausted at order {order}"
-                )
+                raise BudgetExceededError(exhausted)
             if not _table_distributes(mul, add, n):
                 continue
             fs = FiniteSemiring(n, names, add, mul)

@@ -49,6 +49,17 @@ def table_fact_inputs():
                 yield from (m for *_, m in single_cell_mutations(fs))
 
 
+def chain_lattice(n):
+    """The n-element chain with max as addition and min as multiplication,
+    a semiring that passes every axiom.  Index 0 is the bottom (zero),
+    index 1 the top (one) and index i >= 2 the element of rank i - 1."""
+    rank = [0, n - 1, *range(1, n - 1)]
+    rng = range(n)
+    add = tuple(tuple(a if rank[a] >= rank[b] else b for b in rng) for a in rng)
+    mul = tuple(tuple(a if rank[a] <= rank[b] else b for b in rng) for a in rng)
+    return FiniteSemiring(n, tuple(map(str, rng)), add, mul)
+
+
 def sample_values(S, bound):
     """Raw values of S with magnitude <= bound, and inf on tropical-min;
     every element of a finite carrier."""

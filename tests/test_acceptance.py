@@ -31,6 +31,7 @@ from eisenring import (
     verify_theorem,
 )
 from eisenring.cli import run_cli
+from eisenring.eisenstein import first_failing_condition
 from eisenring.tables import FiniteSemiring
 
 from conftest import GOLDEN_DIR, TABLES_DIR, sample_values, single_cell_mutations
@@ -42,38 +43,49 @@ def _report(criterion, detail):
 
 def test_criterion_1_nat_theorem_validation():
     """Every Satisfied verdict over the naturals is confirmed by the
-    complete search: degrees 1..4, coefficients <= 12, p in {2, 3, 5}."""
+    complete search: degrees 1..4, coefficients <= 12, p in {2, 3, 5}.
+    The scan tests raw tuples with ``first_failing_condition``, the one
+    implementation of the three conditions that ``check_eisenstein``
+    applies once the hypothesis holds; a seeded sample holds the two to
+    the same verdicts."""
     t0 = time.time()
     nat = builtin_semiring("nat")
     ideals = [(p, principal_ideal(nat, p)) for p in (2, 3, 5)]
     for _, ideal in ideals:
-        ideal.predicates(64)  # certificates are memoized per ideal
+        assert ideal.predicates(64).all_hold
+    tests = [(p, *ideal.condition_tests()) for p, ideal in ideals]
     scanned = 0
-    applicable = 0
-    contains_reference = False
+    applicable = []
     for n in range(1, 5):
         for lower in itertools.product(range(13), repeat=n):
             for lead in range(1, 13):
-                f = Polynomial(nat, lower + (lead,))
+                coeffs = lower + (lead,)
                 scanned += 1
-                for p, ideal in ideals:
-                    report = check_eisenstein(f, ideal, 64)
-                    if report.verdict is not Verdict.SATISFIED:
-                        continue
-                    applicable += 1
-                    if p == 2 and f.coeffs == (2, 2, 1):
-                        contains_reference = True
-                    outcome = search_factorizations(f)
-                    assert outcome.complete, f.format()
-                    assert not outcome.found, (
-                        f"{f.format()} satisfied the criterion for p={p} but "
-                        f"factors as ({outcome.g.format()})({outcome.h.format()})"
-                    )
-    assert applicable > 0
-    assert contains_reference  # x^2 + 2*x + 2 for p = 2 is in the applicable set
+                for p, in_p, in_p_square in tests:
+                    if first_failing_condition(coeffs, in_p, in_p_square)[0] is None:
+                        applicable.append((p, coeffs))
+    assert scanned == 371_280
+    assert len(applicable) == 11_744
+    accepted = set(applicable)
+    assert (2, (2, 2, 1)) in accepted  # x^2 + 2*x + 2 for p = 2
+    for p, coeffs in applicable:
+        f = Polynomial(nat, coeffs)
+        outcome = search_factorizations(f)
+        assert outcome.complete, f.format()
+        assert not outcome.found, (
+            f"{f.format()} satisfied the criterion for p={p} but "
+            f"factors as ({outcome.g.format()})({outcome.h.format()})"
+        )
+    rng = random.Random(20261022)
+    for _ in range(3000):
+        coeffs = tuple(rng.randrange(13) for _ in range(rng.randrange(1, 5)))
+        coeffs += (rng.randrange(1, 13),)
+        p, ideal = rng.choice(ideals)
+        satisfied = check_eisenstein(Polynomial(nat, coeffs), ideal, 64).verdict is Verdict.SATISFIED
+        assert satisfied == ((p, coeffs) in accepted), (p, coeffs)
     _report(
         1,
-        f"{scanned} polynomials, {applicable} applicable instances, "
+        f"{scanned} polynomials, {len(applicable)} applicable instances, "
         f"0 violations, {time.time() - t0:.1f}s",
     )
 

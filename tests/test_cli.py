@@ -4,10 +4,17 @@ import time
 
 import pytest
 
-from eisenring import Polynomial, builtin_semiring, cli, oracle, principal_ideal
+from eisenring import (
+    Polynomial,
+    builtin_semiring,
+    cli,
+    format_semiring_file,
+    oracle,
+    principal_ideal,
+)
 from eisenring.cli import run_cli
 
-from conftest import GOLDEN_DIR, TABLES_DIR
+from conftest import GOLDEN_DIR, TABLES_DIR, chain_lattice
 
 N3 = str(TABLES_DIR / "n3.semiring")
 
@@ -116,6 +123,19 @@ class TestExitCodes:
         assert doc["all_pass"] is False
         failing = [name for name, r in doc["axioms"].items() if not r["holds"]]
         assert "zero-absorbing" in failing
+
+    def test_table_over_ideal_cap(self, tmp_path):
+        # the order-200 chain passes every axiom; axioms still answers, and
+        # a subcommand that needs the ideals refuses the order
+        path = tmp_path / "chain200.semiring"
+        path.write_text(format_semiring_file(chain_lattice(200)))
+        code, out, _ = invoke(["--json", "axioms", "--file", str(path)])
+        assert code == 0
+        assert json.loads(out)["all_pass"] is True
+        code, out, err = invoke(["factor", "--file", str(path), "x + 1"])
+        assert code == 1
+        assert out == ""
+        assert "order <= 10, got 200" in err
 
     def test_verify_theorem_clean_zero(self):
         code, out, _ = invoke(

@@ -22,6 +22,7 @@ from eisenring import (
 )
 from eisenring.errors import (
     BudgetError,
+    BudgetExceededError,
     CoefficientBoundError,
     DegreeTooLargeError,
     DegreeTooSmallError,
@@ -319,6 +320,47 @@ def trace_every_pair_near_misses(S, ideal, max_degree, spend, findings, base):
                     recorded += 1
                     if recorded >= NEAR_MISS_CAP:
                         return
+
+
+def non_subtractive_primes(orders):
+    """``(fs, S, ideal)`` for every prime, not subtractive ideal of every
+    enumerated semiring of the given orders: the ideals the hunt scans."""
+    for order in orders:
+        for fs in enumerate_semirings(order):
+            S = from_table(fs)
+            for subset in S.ideal_sets:
+                ideal = FiniteSetIdeal(S, subset)
+                preds = ideal.predicates()
+                if preds.prime.holds and not preds.subtractive.holds:
+                    yield fs, S, ideal
+
+
+def record_scan(scan, S, ideal, max_degree, budget=None):
+    """Run one of the hunt's scans on its own: its finding dicts, the units
+    spent by the time each was recorded, every charge in order, and
+    whether ``budget`` ran out."""
+    spent, marks, charges = [0], [], []
+
+    def spend(k=1):
+        charges.append(k)
+        spent[0] += k
+        if budget is not None and spent[0] > budget:
+            raise BudgetExceededError("hunt budget exhausted")
+
+    class Findings(list):
+        def append(self, item):
+            marks.append(spent[0])
+            super().append(item)
+
+    findings = Findings()
+    base = {"order": S.table.order, "semiring_id": "", "add_table": (),
+            "mul_table": (), "ideal": ideal.describe()}
+    try:
+        scan(S, ideal, max_degree, spend, findings, base)
+        cut = False
+    except BudgetExceededError:
+        cut = True
+    return [f.as_dict() for f in findings], marks, charges, cut
 
 
 class TestSearchExamples:
@@ -698,35 +740,55 @@ class TestHunt:
         # in all, equals that of a scan spending one unit per canonical
         # tuple, so every hunt budget cuts both scans after the same findings
         checked = 0
-        for order in (3, 4):
-            for fs in enumerate_semirings(order):
-                S = from_table(fs)
-                for subset in S.ideal_sets:
-                    ideal = FiniteSetIdeal(S, subset)
-                    preds = ideal.predicates()
-                    if not preds.prime.holds or preds.subtractive.holds:
-                        continue
-                    runs = []
-                    for scan in (oracle._hunt_counterexamples, scan_every_tuple_counterexamples):
-                        spent, marks = [0], []
-
-                        def spend(k=1):
-                            spent[0] += k
-
-                        class Findings(list):
-                            def append(self, item):
-                                marks.append(spent[0])
-                                super().append(item)
-
-                        findings = Findings()
-                        scan(S, ideal, max_degree, spend, findings, {
-                            "order": order, "semiring_id": "", "add_table": (),
-                            "mul_table": (), "ideal": ideal.describe(),
-                        })
-                        runs.append(([f.as_dict() for f in findings], marks, spent[0]))
-                    assert runs[0] == runs[1], (fs, subset)
-                    checked += bool(runs[0][1])
+        for fs, S, ideal in non_subtractive_primes((3, 4)):
+            runs = []
+            for scan in (oracle._hunt_counterexamples, scan_every_tuple_counterexamples):
+                found, marks, charges, _ = record_scan(scan, S, ideal, max_degree)
+                runs.append((found, marks, sum(charges)))
+            assert runs[0] == runs[1], (fs, ideal.describe())
+            checked += bool(runs[0][1])
         assert checked or max_degree == 1
+
+    def test_near_miss_bulk_charges_every_budget_to_order_three(self, monkeypatch):
+        budget = 0
+        while True:
+            fast = hunt_subtractivity(3, 3, budget).as_dict()
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_hunt_near_misses", trace_every_pair_near_misses)
+                assert fast == hunt_subtractivity(3, 3, budget).as_dict(), budget
+            if not fast["partial"]:
+                break
+            budget += 1
+        assert budget > 100
+
+    @pytest.mark.parametrize("max_degree", [1, 2])
+    def test_near_miss_bulk_charges_at_run_edges_order_four(self, max_degree):
+        # every budget at each edge +-1 of a run charged in one step, plus a
+        # seeded sample.  The reference spends one unit before each pair, so
+        # a budget keeps exactly the findings recorded within it and runs
+        # out when the full spend exceeds it: one reference run gives its
+        # result at every budget.
+        rng = random.Random(28)
+        runs = 0
+        for fs, S, ideal in non_subtractive_primes((4,)):
+            want, marks, charges, _ = record_scan(trace_every_pair_near_misses, S, ideal, max_degree)
+            total = sum(charges)
+            _, _, fast_charges, _ = record_scan(oracle._hunt_near_misses, S, ideal, max_degree)
+            assert sum(fast_charges) == total
+            edges = set()
+            for start, k in zip(itertools.accumulate([0, *fast_charges]), fast_charges):
+                if k > 1:
+                    edges.update((start, start + k))
+                    runs += 1
+            budgets = {e + d for e in edges for d in (-1, 0, 1) if e + d >= 0}
+            budgets.update(rng.sample(range(total + 2), 10))
+            for budget in sorted(budgets):
+                found, _, _, cut = record_scan(
+                    oracle._hunt_near_misses, S, ideal, max_degree, budget
+                )
+                kept = [f for f, mark in zip(want, marks) if mark <= budget]
+                assert (found, cut) == (kept, budget < total), (fs, ideal.describe(), budget)
+        assert runs
 
     def test_order_four_counterexamples_reverify(self):
         # at order 4 the hunt finds polynomials meeting all three conditions

@@ -9,6 +9,7 @@ import pytest
 from eisenring import (
     INFINITY,
     CapabilityFlags,
+    FiniteSemiring,
     Polynomial,
     PrincipalIdeal,
     builtin_semiring,
@@ -21,7 +22,12 @@ from eisenring import (
     principal_ideal,
     semidomain_check,
 )
-from eisenring.errors import FactoringLimitError, LiteralError, UnknownSemiringError
+from eisenring.errors import (
+    FactoringLimitError,
+    LiteralError,
+    OrderTooLargeError,
+    UnknownSemiringError,
+)
 from eisenring.semirings import (
     _finite_flags,
     _is_prime_int,
@@ -29,7 +35,7 @@ from eisenring.semirings import (
     _table_descriptor,
 )
 
-from conftest import sample_values, table_fact_inputs
+from conftest import chain_lattice, sample_values, table_fact_inputs
 
 # the law and divisibility checks sample the naturals <= 64
 SAMPLE_BOUND = 64
@@ -474,6 +480,20 @@ class TestFiniteFlags:
                 # the hunt's path for enumerator tables skips only the axiom check
                 T = _table_descriptor(fs)
                 assert T == S and T.flags == S.flags and T.ideal_sets == S.ideal_sets
+
+    def test_over_cap_order_refused_before_axiom_scan(self):
+        chain = chain_lattice(200)
+        t0 = time.perf_counter()
+        with pytest.raises(OrderTooLargeError):
+            from_table(chain)
+        assert time.perf_counter() - t0 < 0.1
+        # the order is checked first, so it also wins over a failing axiom
+        broken = FiniteSemiring(
+            chain.order, chain.element_names, chain.add_table,
+            ((1,) + chain.mul_table[0][1:], *chain.mul_table[1:]),
+        )
+        with pytest.raises(OrderTooLargeError):
+            from_table(broken)
 
     def test_semidomain_implies_entire(self):
         for order in (2, 3):

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -23,7 +24,7 @@ from eisenring.errors import (
 )
 from eisenring.tables import AXIOM_NAMES, FiniteSemiring, _commutative_monoids
 
-from conftest import table_fact_inputs
+from conftest import GOLDEN_DIR, table_fact_inputs
 
 N3_TEXT = """\
 # saturating semiring
@@ -79,10 +80,12 @@ def product_tables(n: int, identity: int, absorbing=None):
         yield tuple(tuple(row) for row in table)
 
 
-def product_loop_reference(order: int):
+def product_loop_reference(order: int, pairs=None):
     """Reference for enumerate_semirings: every pair of candidate tables
     from itertools.product, then associativity, distributivity and the
-    canonical-form dedupe, each checked on whole tables."""
+    canonical-form dedupe, each checked on whole tables.  ``pairs``, a
+    one-item list if given, counts the (associative addition, associative
+    multiplication) pairs examined, the unit of the enumeration budget."""
     n = order
     names = tuple(str(i) for i in range(n))
     seen = set()
@@ -90,7 +93,11 @@ def product_loop_reference(order: int):
         if not _associates(add, n):
             continue
         for mul in product_tables(n, identity=1, absorbing=0):
-            if not (_associates(mul, n) and _distributes(mul, add, n)):
+            if not _associates(mul, n):
+                continue
+            if pairs is not None:
+                pairs[0] += 1
+            if not _distributes(mul, add, n):
                 continue
             fs = FiniteSemiring(n, names, add, mul)
             key = canonical_form(fs)
@@ -313,6 +320,37 @@ class TestBacktracking:
         assert got == want
         assert [fs.digest() for fs in got] == [fs.digest() for fs in want]
 
+    def test_budget_at_skipped_addition_edges(self):
+        # order 4 is the first with a relabelling of {2..n-1}, the swap of
+        # 2 and 3; an addition the swap maps to an earlier one is skipped
+        # and its pairs are charged in one step.  The reference counts one
+        # pair at a time before testing it, so a budget keeps exactly the
+        # tables yielded within it and runs out when the full count
+        # exceeds it: one reference run gives its result at every budget.
+        n = 4
+        pairs = [0]
+        marks = [(pairs[0], fs) for fs in product_loop_reference(n, pairs)]
+        total = pairs[0]
+        adds = [t for t in product_tables(n, identity=0) if _associates(t, n)]
+        muls = total // len(adds)
+        swap = (0, 1, 3, 2)
+        edges = set()
+        for i, add in enumerate(adds):
+            swapped = tuple(tuple(swap[add[swap[a]][swap[b]]] for b in range(n)) for a in range(n))
+            if adds.index(swapped) < i:
+                edges.update((i * muls, (i + 1) * muls))
+        assert len(edges) > 40
+        for budget in sorted({e + d for e in edges for d in (-1, 0, 1)}):
+            collected = []
+            try:
+                for fs in enumerate_semirings(n, budget=budget):
+                    collected.append(fs)
+                exhausted = False
+            except BudgetExceededError:
+                exhausted = True
+            assert collected == [fs for mark, fs in marks if mark <= budget], budget
+            assert exhausted == (budget < total), budget
+
     @pytest.mark.parametrize("order", [2, 3, 4])
     @pytest.mark.parametrize("identity, absorbing", [(0, None), (1, 0)])
     def test_monoids_are_associative_product_subset(self, order, identity, absorbing):
@@ -324,6 +362,9 @@ class TestBacktracking:
     def test_order_five(self):
         found = list(enumerate_semirings(5))
         assert len(found) == 228
+        # the stream itself: the digests of the 228 tables in stream order
+        golden = json.loads((GOLDEN_DIR / "enumeration_order5.json").read_text())
+        assert [fs.digest() for fs in found] == golden
         assert all(check_axioms(fs).all_pass for fs in found)
         forms = {canonical_form(fs) for fs in found}
         assert len(forms) == len(found)
